@@ -16,16 +16,12 @@ from repro.compression.pruning import (
 )
 from repro.compression.quantization import (
     SUPPORTED_BITS,
-    QuantizationReport,
-    QuantizedTensorReport,
     RealQuantizationReport,
     RealQuantizedTensor,
     dequantize_weight,
     quantize_model_real,
-    quantize_model_weights,
     quantize_weight,
     quantized_weight_bytes,
-    restore_quantized,
     restore_real_quantized,
 )
 
@@ -34,10 +30,6 @@ __all__ = [
     "quantize_weight",
     "dequantize_weight",
     "quantized_weight_bytes",
-    "QuantizationReport",
-    "QuantizedTensorReport",
-    "quantize_model_weights",
-    "restore_quantized",
     "RealQuantizationReport",
     "RealQuantizedTensor",
     "quantize_model_real",

@@ -1,39 +1,29 @@
-"""Post-training weight quantization: simulated baseline + real storage.
+"""Post-training weight quantization: real int8 storage.
 
 The paper motivates low-rank decomposition alongside quantization and
 sparsity as the memory-footprint levers for LLMs (Section 1); this module
 provides the quantization baseline so the two can be compared at matched
 memory budgets.
 
-Two modes share one grid/scale representation (the math lives in
+:func:`quantize_model_real` swaps the targeted modules for
+:class:`~repro.nn.QuantizedLinear` / :class:`~repro.nn.QuantizedFactorizedLinear`
+twins that keep only the int8 grids + fp32 scales (the grid math lives in
 :mod:`repro.nn.quantized` so the module layer can use it without importing
-this package):
-
-* :func:`quantize_model_weights` — *simulated*: weights are rounded to a
-  symmetric per-output-channel integer grid and immediately dequantized,
-  so the forward pass runs in float32 but suffers the exact quantization
-  error, while memory accounting reflects integer storage (``bits`` per
-  weight plus one fp32 scale per output channel).  Works on dense
-  ``Linear`` and decomposed ``FactorizedLinear`` targets (each factor is
-  quantized independently — the compound-compression case).
-* :func:`quantize_model_real` — *real*: the targeted modules are swapped
-  for :class:`~repro.nn.QuantizedLinear` /
-  :class:`~repro.nn.QuantizedFactorizedLinear` twins that keep only the
-  int8 grids + fp32 scales, so serving memory actually shrinks and the
-  fast path runs its quantized kernels.  Both modes produce bit-identical
-  forward passes: the real modules' Tensor path dequantizes the same
-  grids the simulated mode bakes into the weights.
+this package), so serving memory actually shrinks and the fast path runs
+its quantized kernels.  Dense ``Linear`` and decomposed ``FactorizedLinear``
+targets both work (each factor is quantized independently — the
+compound-compression case).  The twins' Tensor path dequantizes the full
+grid, so accuracy evaluation sees the exact quantization error, and
+:func:`restore_real_quantized` swaps the original modules back bit-exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple, Union
-
-import numpy as np
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import DecompositionError
-from repro.nn import FactorizedLinear, Linear
+from repro.nn import FactorizedLinear
 from repro.nn.quantized import (
     SUPPORTED_BITS,
     QuantizedFactorizedLinear,
@@ -49,10 +39,6 @@ __all__ = [
     "quantize_weight",
     "dequantize_weight",
     "quantized_weight_bytes",
-    "QuantizationReport",
-    "QuantizedTensorReport",
-    "quantize_model_weights",
-    "restore_quantized",
     "RealQuantizedTensor",
     "RealQuantizationReport",
     "quantize_model_real",
@@ -60,136 +46,6 @@ __all__ = [
 ]
 
 _FACTOR_ATTRS = ("u1", "core", "u2")
-
-
-@dataclass
-class QuantizedTensorReport:
-    layer: int
-    role: str
-    shape: Tuple[int, int]
-    bits: int
-    quantization_error: float  # relative Frobenius error
-
-    @property
-    def dense_bytes(self) -> float:
-        return self.shape[0] * self.shape[1] * 2.0  # FP16 baseline
-
-    @property
-    def quantized_bytes(self) -> float:
-        return quantized_weight_bytes(self.shape, self.bits)
-
-
-@dataclass
-class QuantizationReport:
-    """Aggregate outcome of :func:`quantize_model_weights`."""
-
-    bits: int
-    tensors: List[QuantizedTensorReport] = field(default_factory=list)
-    _originals: Dict[Tuple[int, str], Union[np.ndarray, Dict[str, np.ndarray]]] = field(
-        default_factory=dict, repr=False
-    )
-
-    @property
-    def weight_bytes_before(self) -> float:
-        return sum(t.dense_bytes for t in self.tensors)
-
-    @property
-    def weight_bytes_after(self) -> float:
-        return sum(t.quantized_bytes for t in self.tensors)
-
-    @property
-    def memory_reduction(self) -> float:
-        """Fractional byte saving over the quantized tensors (0..1)."""
-        before = self.weight_bytes_before
-        if before == 0:
-            return 0.0
-        return 1.0 - self.weight_bytes_after / before
-
-    @property
-    def mean_error(self) -> float:
-        if not self.tensors:
-            return 0.0
-        return float(np.mean([t.quantization_error for t in self.tensors]))
-
-
-def _simulate_on_array(weight: np.ndarray, bits: int) -> np.ndarray:
-    grid, scales = quantize_weight(weight, bits)
-    return dequantize_weight(grid, scales)
-
-
-def quantize_model_weights(
-    model, layers: Iterable[int], roles: Iterable[str], bits: int
-) -> QuantizationReport:
-    """Quantize the targeted weight matrices in place (simulated).
-
-    The live weights are replaced by their dequantized grid values; the
-    report retains the originals for :func:`restore_quantized`.  Dense
-    ``Linear`` targets quantize their weight matrix; ``FactorizedLinear``
-    targets quantize each factor of the U·Γ·V chain independently, each
-    with its own per-output-column scales.
-    """
-    from repro.decomposition.metrics import relative_error
-
-    layers = sorted(set(int(l) for l in layers))
-    roles = list(dict.fromkeys(roles))
-    report = QuantizationReport(bits=bits)
-    for layer in layers:
-        for role in roles:
-            owner, attr = model.tensor_slot(layer, role)
-            module = getattr(owner, attr)
-            if isinstance(module, FactorizedLinear):
-                originals: Dict[str, np.ndarray] = {}
-                for factor in _FACTOR_ATTRS:
-                    param = getattr(module, factor)
-                    original = param.data.copy()
-                    param.data = _simulate_on_array(original, bits)
-                    originals[factor] = original
-                    report.tensors.append(
-                        QuantizedTensorReport(
-                            layer=layer,
-                            role=f"{role}.{factor}",
-                            shape=original.shape,
-                            bits=bits,
-                            quantization_error=relative_error(original, param.data),
-                        )
-                    )
-                report._originals[(layer, role)] = originals
-            elif isinstance(module, Linear):
-                original = module.weight.data.copy()
-                module.weight.data = _simulate_on_array(original, bits)
-                report._originals[(layer, role)] = original
-                report.tensors.append(
-                    QuantizedTensorReport(
-                        layer=layer,
-                        role=role,
-                        shape=original.shape,
-                        bits=bits,
-                        quantization_error=relative_error(
-                            original, module.weight.data
-                        ),
-                    )
-                )
-            else:
-                raise DecompositionError(
-                    f"({layer}, {role}) holds {type(module).__name__}; quantize "
-                    "Linear or FactorizedLinear layers only"
-                )
-    return report
-
-
-def restore_quantized(model, report: QuantizationReport) -> None:
-    """Undo :func:`quantize_model_weights` bit-exactly."""
-    for (layer, role), original in report._originals.items():
-        owner, attr = model.tensor_slot(layer, role)
-        module = getattr(owner, attr)
-        if isinstance(original, dict):
-            for factor, data in original.items():
-                getattr(module, factor).data = data.copy()
-        else:
-            module.weight.data = original.copy()
-
-
-# -- real (storage-level) quantization ------------------------------------
 
 
 @dataclass

@@ -44,7 +44,7 @@ class ServingError(ReproError, RuntimeError):
 
 
 class PoolExhaustedError(ServingError):
-    """The preallocated KV-cache block pool has no free blocks left."""
+    """The preallocated paged KV store has no free pages left."""
 
 
 class ParallelError(ReproError, RuntimeError):

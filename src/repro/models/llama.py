@@ -220,7 +220,7 @@ class LlamaModel(Module):
         ``tokens`` is a right-padded (B, T_max) batch where row ``b``
         contributes ``new_lengths[b]`` valid new positions appended to
         ``caches[b]`` (a :class:`~repro.nn.kv_cache.ModelKVCache`-compatible
-        per-sequence cache, e.g. a block-pool backed one).  Rows may sit at
+        per-sequence cache, e.g. a paged-store backed one).  Rows may sit at
         different depths; each attends its own history only.  Returns
         (B, T_max, vocab) logits — row ``b`` is valid up to position
         ``new_lengths[b] - 1``; padded positions hold garbage.

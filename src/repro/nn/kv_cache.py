@@ -15,8 +15,8 @@ generation.)
 independent per-sequence caches into one batch object so a single forward
 pass can serve sequences of different lengths — the interface the
 continuous-batching engine in :mod:`repro.serving` drives.  Any object with
-the ``seq_len`` / ``append`` contract (e.g. the block-pool backed caches in
-:mod:`repro.serving.pool`) can participate.
+the ``seq_len`` / ``append`` contract (e.g. the paged caches in
+:mod:`repro.serving.paged`) can participate.
 """
 
 from __future__ import annotations

@@ -1,10 +1,8 @@
 """Real int8 weight storage for the inference fast path.
 
-:mod:`repro.compression.quantization` simulates quantization: weights are
-rounded to an integer grid and immediately dequantized, so serving still
-pays full fp32 memory and bandwidth.  The modules here keep the *storage*
-quantized — an ``int8`` grid plus one fp32 scale per output column — and
-dequantize on the way into each GEMM.
+The modules here keep the *storage* quantized — an ``int8`` grid plus one
+fp32 scale per output column — and dequantize on the way into each GEMM;
+:func:`repro.compression.quantize_model_real` swaps them into a model.
 
 Quantization math
 -----------------
@@ -24,7 +22,7 @@ U·Γ·V chain carries its own scales.
 Bit-identity contract
 ---------------------
 ``forward`` / ``forward_blocked`` here dequantize the full grid and run
-the ordinary Tensor-graph projection — this *is* the simulated-quantization
+the ordinary Tensor-graph projection — this *is* the quantization
 reference.  The fast-path kernels in :mod:`repro.runtime.fastpath`
 dequantize block-by-block into workspace scratch instead; because
 elementwise dequantization of a column block equals the same columns of the
@@ -96,8 +94,7 @@ class QuantizedLinear(Module):
     artifact derived from the dense checkpoint, so it stays out of
     ``state_dict`` / ``named_parameters`` (the bias, if any, remains a
     real Parameter).  The Tensor-path ``forward`` dequantizes the full
-    grid — it is the simulated-quantization reference the fast path must
-    match bit for bit.
+    grid — it is the reference the fast path must match bit for bit.
     """
 
     def __init__(

@@ -26,7 +26,6 @@ from repro.parallel.collectives import COMM_CHANNELS, CommStats, LocalGroup
 from repro.parallel.executor import RankExecutor
 from repro.parallel.mesh import DeviceMesh, validate_mesh
 from repro.parallel.local import (
-    ShardedKVPool,
     ShardedLlama,
     ShardedPagedStore,
     ShardedSequenceCache,
@@ -45,7 +44,6 @@ __all__ = [
     "ProcessShardedLlama",
     "RankExecutor",
     "RankShard",
-    "ShardedKVPool",
     "ShardedLlama",
     "ShardedPagedStore",
     "ShardedSequenceCache",

@@ -8,8 +8,8 @@ boundaries are crossed by point-to-point ``send``/``recv`` of the
 replicated hidden state (activations flow forward only — inference).  It
 quacks like the model where the serving engine needs it to — ``config``,
 ``eval()``, ``forward``/``forward_ragged``, plus a ``make_kv_pool`` hook
-that gives the engine per-grid-cell KV pools holding only each cell's
-covering KV heads *and* its stage's layers.
+that gives the engine per-grid-cell paged KV stores holding only each
+cell's covering KV heads *and* its stage's layers.
 
 Pipelining: prefill batches are split into up to ``pp`` row-microbatches
 that stream through the stages 1F1B-style — the blocking lane queues let
@@ -44,17 +44,17 @@ from repro.parallel.executor import RankExecutor
 from repro.parallel.mesh import DeviceMesh
 from repro.parallel.sharding import RankShard, shard_model
 from repro.serving.paged import PagedKVStore
-from repro.serving.pool import KVBlockPool
 from repro.tensor.tensor import Tensor
 
 
 class ShardedSequenceCache:
-    """One request's KV state split across per-rank pools.
+    """One request's KV state split across per-rank stores.
 
-    Mirrors the :class:`~repro.serving.pool.PooledSequenceCache` surface
-    the engine drives (``seq_len`` / ``reserve`` / ``free``).  The per-rank
-    pools share one block geometry and receive every operation in the same
-    order, so reservations succeed or exhaust symmetrically.
+    Mirrors the :class:`~repro.serving.paged.PagedSequenceCache` surface
+    the engine drives (``seq_len`` / ``reserve`` / ``note_tokens`` /
+    ``truncate`` / ``free``).  The per-rank stores share one page geometry
+    and receive every operation in the same order, so reservations succeed
+    or exhaust symmetrically.
     """
 
     def __init__(self, rank_caches: Sequence[object]) -> None:
@@ -73,12 +73,9 @@ class ShardedSequenceCache:
             cache.reserve(new_tokens)
 
     def note_tokens(self, tokens) -> None:
-        """Fan the scheduler's token note out to every rank's slice (paged
-        stores key their radix index on it; growable caches ignore it)."""
+        """Fan the scheduler's token note out to every rank's slice."""
         for cache in self.rank_caches:
-            note = getattr(cache, "note_tokens", None)
-            if note is not None:
-                note(tokens)
+            cache.note_tokens(tokens)
 
     def truncate(self, length: int) -> None:
         """Roll every rank's cache slice back to ``length`` positions.
@@ -91,30 +88,31 @@ class ShardedSequenceCache:
             cache.truncate(length)
 
     def freeze_sealing(self) -> None:
-        """Fan a variant hot-swap's seal freeze out to every rank's slice
-        (growable caches have nothing to freeze and are skipped)."""
+        """Fan a variant hot-swap's seal freeze out to every rank's slice."""
         for cache in self.rank_caches:
-            freeze = getattr(cache, "freeze_sealing", None)
-            if freeze is not None:
-                freeze()
+            cache.freeze_sealing()
 
     def free(self) -> None:
         for cache in self.rank_caches:
             cache.free()
 
 
-class ShardedKVPool:
-    """Facade over one :class:`KVBlockPool` per rank.
+class ShardedPagedStore:
+    """Facade over one :class:`~repro.serving.paged.PagedKVStore` per rank.
 
-    Each rank's pool stores only that rank's covering KV heads, so total
-    cache memory is ~1/P per rank (slightly above when GQA covers
-    overlap).  Admission-control queries delegate to rank 0 — all pools
-    share the same block geometry.
+    Each rank's store holds only that rank's covering KV heads and its
+    stage's layers, so total cache memory is ~1/P per rank (slightly above
+    when GQA covers overlap).  Every rank's store receives the identical
+    operation sequence (acquire keys, token notes, append sizes,
+    truncations, frees), and the radix walk is deterministic, so all ranks
+    make the same sharing decisions — a prefix shared on rank 0 is shared
+    on every rank.  Admission-control queries and sharing telemetry
+    delegate to rank 0.
     """
 
     def __init__(self, shards: Sequence[RankShard], n_blocks: int, block_tokens: int) -> None:
-        self.pools: List[KVBlockPool] = [
-            KVBlockPool(
+        self.pools: List[PagedKVStore] = [
+            PagedKVStore(
                 shard.config,
                 n_blocks=n_blocks,
                 block_tokens=block_tokens,
@@ -153,32 +151,6 @@ class ShardedKVPool:
 
     def fits(self, tokens: int) -> bool:
         return self.pools[0].fits(tokens)
-
-    def allocate_sequence(self) -> ShardedSequenceCache:
-        return ShardedSequenceCache([pool.allocate_sequence() for pool in self.pools])
-
-
-class ShardedPagedStore(ShardedKVPool):
-    """Per-rank :class:`~repro.serving.paged.PagedKVStore` facade.
-
-    Every rank's store receives the identical operation sequence (acquire
-    keys, token notes, append sizes, truncations, frees), and the radix
-    walk is deterministic, so all ranks make the same sharing decisions —
-    a prefix shared on rank 0 is shared on every rank.  Sharing telemetry
-    delegates to rank 0.
-    """
-
-    def __init__(self, shards: Sequence[RankShard], n_blocks: int, block_tokens: int) -> None:
-        self.pools: List[PagedKVStore] = [
-            PagedKVStore(
-                shard.config,
-                n_blocks=n_blocks,
-                block_tokens=block_tokens,
-                kv_heads=shard.n_kv_heads,
-                n_layers=shard.n_stage_layers,
-            )
-            for shard in shards
-        ]
 
     def acquire_sequence(self, tokens=None, namespace=None) -> ShardedSequenceCache:
         caches = [
@@ -433,18 +405,14 @@ class ShardedLlama:
         return self._run(work)[self._last_stage_rank]
 
     # -- serving hooks -----------------------------------------------------
-    def make_kv_pool(
-        self, n_blocks: int, block_tokens: int, paged: bool = False
-    ) -> ShardedKVPool:
-        """Per-grid-cell KV pools; ``paged`` selects the prefix-sharing
-        store so parallel engines share prefixes exactly like single-rank
-        ones.  Each cell's pool holds only its stage's layers and its
-        rank's covering KV heads."""
-        cls = ShardedPagedStore if paged else ShardedKVPool
-        return cls(self.shards, n_blocks=n_blocks, block_tokens=block_tokens)
+    def make_kv_pool(self, n_blocks: int, block_tokens: int) -> ShardedPagedStore:
+        """Per-grid-cell paged KV stores, so parallel engines share
+        prefixes exactly like single-rank ones.  Each cell's store holds
+        only its stage's layers and its rank's covering KV heads."""
+        return ShardedPagedStore(self.shards, n_blocks=n_blocks, block_tokens=block_tokens)
 
     def make_cache(self) -> ShardedSequenceCache:
-        """A growable (non-pooled) per-sequence cache, one slice per grid
+        """A growable (non-paged) per-sequence cache, one slice per grid
         cell, each holding only that cell's stage layers."""
         from repro.nn.kv_cache import ModelKVCache
 

@@ -1,12 +1,13 @@
-"""In-process serving subsystem: continuous batching over pooled KV blocks.
+"""In-process serving subsystem: continuous batching over paged KV state.
 
 The paper characterizes decomposition's latency/energy/memory effects in a
 *serving* setting (Figures 10-12).  This package provides the measurement
 substrate: an iteration-level scheduler (:class:`InferenceEngine`) that
 mixes prefill chunks and decode steps in one ragged batch per step, a
-preallocated block-based KV-cache pool shared across requests
-(:class:`KVBlockPool`), a lazy registry of decomposed model variants
-(:class:`VariantRegistry`), and a trace-replay benchmark
+preallocated paged KV store shared across requests, whose radix index
+reuses common prompt prefixes (:class:`PagedKVStore`), a lazy registry of
+decomposed model variants (:class:`VariantRegistry`), and a trace-replay
+benchmark
 (:func:`run_serve_bench`) that pairs measured throughput with the analytic
 roofline projection from :mod:`repro.hwmodel`.
 
@@ -53,7 +54,6 @@ from repro.serving.qos import (
 from repro.serving.engine import EngineConfig, InferenceEngine, StepReport
 from repro.serving.metrics import EngineMetrics, QoSClassMetrics, SampleStats
 from repro.serving.paged import PagedKVStore, PagedLayerCache, PagedSequenceCache
-from repro.serving.pool import KVBlockPool, PooledLayerCache, PooledSequenceCache
 from repro.serving.request import (
     ACTIVE_STATES,
     TERMINAL_STATES,
@@ -92,13 +92,10 @@ __all__ = [
     "GenerationResult",
     "GoodputSummary",
     "InferenceEngine",
-    "KVBlockPool",
     "ModelVariant",
     "PagedKVStore",
     "PagedLayerCache",
     "PagedSequenceCache",
-    "PooledLayerCache",
-    "PooledSequenceCache",
     "QoSClass",
     "QoSClassMetrics",
     "RankRouter",

@@ -165,7 +165,7 @@ class VariantBenchResult:
     # Per-request samples of the replay (metrics.jsonl lines).
     requests: List[dict] = field(default_factory=list)
     # ``--verify-identity``: None = not checked, else tokens matched the
-    # per-request-pool (unshared) engine on every request.
+    # unshared engine (radix index off) on every request.
     tokens_match_unshared: Optional[bool] = None
     # QoS scoring (None when the trace carries no QoS catalog): the
     # goodput summary dict from repro.serving.qos.goodput_summary.
@@ -519,9 +519,9 @@ def bench_variant(
     (``engine_config.spec_k`` drafts per cycle) and the result carries the
     measured acceptance rate; committed tokens still equal plain decoding.
     With ``verify_identity``, the same trace is replayed a second time on
-    the per-request-pool engine (``prefix_sharing=False``) and every
-    request's tokens are compared — the paged store's token-for-token
-    exactness contract, checked end to end.
+    the unshared engine (``prefix_sharing=False``: same store, radix index
+    never consulted) and every request's tokens are compared — the paged
+    store's token-for-token exactness contract, checked end to end.
     With ``catalog``, trace QoS tags become per-request SLOs and the
     result carries a goodput summary — this fixed variant stands in as
     every request's served quality, so floors above it are scored as

@@ -5,9 +5,9 @@ Iteration-level scheduling in the style of Orca/vLLM: every call to
 chunks* of newly admitted requests with *single-token decode steps* of all
 running requests, bounded by a per-step token budget, and runs it through
 the model's ragged cached forward in a single pass.  KV state lives in a
-shared preallocated :class:`~repro.serving.pool.KVBlockPool`; when it runs
-dry the youngest running request is preempted (blocks released, tokens
-kept) and later re-prefilled, so results are unchanged.
+shared preallocated :class:`~repro.serving.paged.PagedKVStore`; when it
+runs dry the youngest running request is preempted (pages released,
+tokens kept) and later re-prefilled, so results are unchanged.
 
 The engine is clock-agnostic: callers pass ``now`` into :meth:`submit` /
 :meth:`step`, and the step's *measured* model time advances whatever clock
@@ -29,7 +29,6 @@ from repro.errors import PoolExhaustedError, ServingError
 from repro.runtime.decode import DecodeState
 from repro.serving.metrics import EngineMetrics
 from repro.serving.paged import PagedKVStore
-from repro.serving.pool import KVBlockPool
 from repro.serving.request import (
     ACTIVE_STATES,
     GenerationRequest,
@@ -58,8 +57,9 @@ class EngineConfig:
     spec_ema_alpha: float = 0.5  # acceptance-EMA weight (fresh cycle share)
     # Cross-request prefix sharing: KV state lives in one global paged
     # store with a radix index over token ids, so requests with a common
-    # prefix skip its prefill and share pages copy-on-write.  Off falls
-    # back to the per-request block pool (the identity baseline).
+    # prefix skip its prefill and share pages copy-on-write.  Off keeps
+    # the same store but never consults or feeds its index (the identity
+    # baseline).
     prefix_sharing: bool = True
 
     def __post_init__(self) -> None:
@@ -157,22 +157,20 @@ class InferenceEngine:
         self.model.eval()
         self.config = config or EngineConfig()
         self.timer = timer
-        # Tensor-parallel model facades supply their own pool holding one
-        # KV slice per rank; a plain model gets the shared single pool.
-        # With prefix sharing the pool is a paged store whose radix index
-        # lets admission reuse already-computed prefixes.
-        self.pool = self._make_pool(
-            model, self.config.n_blocks, paged=self.config.prefix_sharing
-        )
+        # Tensor-parallel model facades supply their own store holding one
+        # KV slice per rank; a plain model gets one paged store.  With
+        # prefix sharing its radix index lets admission reuse
+        # already-computed prefixes.
+        self.pool = self._make_pool(model, self.config.n_blocks)
         self.drafter = drafter
         self.draft_pool = None
         if drafter is not None:
             drafter.eval()
             # The drafter's KV is private per request and rebuilt from the
-            # prefix after preemption — never shared, so it stays a plain
-            # per-request pool.
+            # prefix after preemption — never shared, so its store's index
+            # is never consulted.
             self.draft_pool = self._make_pool(
-                drafter, self.config.spec_blocks or self.config.n_blocks, paged=False
+                drafter, self.config.spec_blocks or self.config.n_blocks
             )
         self.metrics = EngineMetrics()
         self._queue: Deque[GenerationRequest] = deque()
@@ -180,17 +178,11 @@ class InferenceEngine:
         self._requests: Dict[int, GenerationRequest] = {}
         self._next_id = 0
 
-    def _make_pool(self, model, n_blocks: int, paged: bool = False):
+    def _make_pool(self, model, n_blocks: int):
         pool_factory = getattr(model, "make_kv_pool", None)
         if pool_factory is not None:
-            return pool_factory(
-                n_blocks=n_blocks, block_tokens=self.config.block_tokens, paged=paged
-            )
-        if paged:
-            return PagedKVStore(
-                model.config, n_blocks=n_blocks, block_tokens=self.config.block_tokens
-            )
-        return KVBlockPool(
+            return pool_factory(n_blocks=n_blocks, block_tokens=self.config.block_tokens)
+        return PagedKVStore(
             model.config, n_blocks=n_blocks, block_tokens=self.config.block_tokens
         )
 
@@ -213,6 +205,9 @@ class InferenceEngine:
         Rejection reasons: the prompt + generation budget cannot fit the
         model's context window, could never fit the KV pool, or the queue
         is full.  Rejected requests carry ``finish_reason`` and never raise.
+        A malformed request (empty prompt, token ids outside the
+        vocabulary) raises :class:`ServingError` before anything is
+        registered or enqueued.
 
         ``speculative=True`` decodes this request through the engine's
         drafter/verifier loop — same tokens, fewer verifier-bound steps.
@@ -253,6 +248,9 @@ class InferenceEngine:
             quality_floor=qos.quality_floor if qos is not None else None,
             ttft_slo_s=qos.ttft_slo_s if qos is not None else None,
         )
+        vocab = self.model.config.vocab_size
+        if request.prompt.min() < 0 or request.prompt.max() >= vocab:
+            raise ServingError(f"prompt token ids must lie in [0, {vocab})")
         self._next_id += 1
         self._requests[request.request_id] = request
         total = request.prompt.size + request.max_new_tokens
@@ -317,12 +315,12 @@ class InferenceEngine:
         # Draft phase (speculative rows only): drafter forwards happen here
         # so their cost lands inside the step's measured duration.
         feeds, draft_counts = self._draft_extend(rows)
-        # Paged caches index sealed pages by token ids; tell each cache
+        # The radix index keys sealed pages by token ids; tell each cache
         # what the forward is about to append (chunk + any draft tokens).
-        for (request, _), feed in zip(rows, feeds):
-            note = getattr(request.cache, "note_tokens", None)
-            if note is not None:
-                note(feed)
+        # Unshared engines never note, so their pages never seal.
+        if self.config.prefix_sharing:
+            for (request, _), feed in zip(rows, feeds):
+                request.cache.note_tokens(feed)
         lengths = np.asarray([feed.size for feed in feeds], dtype=np.int64)
         row_logits = self._forward_rows(rows, feeds, lengths)
         duration = max(self.timer() - started, 1e-9)
@@ -421,9 +419,7 @@ class InferenceEngine:
             if request.assign_variant(spec):
                 swaps += 1
                 self.metrics.variant_swaps += 1
-                freeze = getattr(request.cache, "freeze_sealing", None)
-                if freeze is not None:
-                    freeze()
+                request.cache.freeze_sealing()
         return swaps
 
     def _forward_rows(
@@ -480,11 +476,12 @@ class InferenceEngine:
             budget -= take
         self._requeue(preempted)
 
+        sharing = self.config.prefix_sharing
         while budget > 0 and self._queue and self._active_count() < self.config.max_batch:
             request = self._queue[0]
             prefix = request.prefix
-            # Admission reserves *new* pages only: a paged store seeds the
-            # cache with the longest indexed prefix (page-aligned, always
+            # Admission reserves *new* pages only: with sharing on, the store
+            # seeds the cache with the longest indexed prefix (page-aligned, always
             # leaving >= 1 token to feed), so prefill covers just the
             # uncovered suffix.  Re-admission after preemption re-links the
             # same way — recompute-style preemption becomes mostly free.
@@ -500,14 +497,12 @@ class InferenceEngine:
                     # counts as a swap, but the fresh cache is computed
                     # entirely by the new variant, so sealing stays enabled.
                     self.metrics.variant_swaps += 1
-            acquire = getattr(self.pool, "acquire_sequence", None)
-            if acquire is not None:
-                if self.router is not None:
-                    cache = acquire(prefix, namespace=request.variant)
-                else:
-                    cache = acquire(prefix)
+            if not sharing:
+                cache = self.pool.acquire_sequence()
+            elif self.router is not None:
+                cache = self.pool.acquire_sequence(prefix, namespace=request.variant)
             else:
-                cache = self.pool.allocate_sequence()
+                cache = self.pool.acquire_sequence(prefix)
             shared = cache.seq_len
             take = min(prefix.size - shared, budget)
             try:
@@ -516,7 +511,7 @@ class InferenceEngine:
                 cache.free()
                 break  # pool pressure: leave queued, try next step
             self._queue.popleft()
-            if acquire is not None:
+            if sharing:
                 self.metrics.prefix_lookups += 1
                 if shared:
                     self.metrics.prefix_hits += 1
@@ -695,7 +690,7 @@ class InferenceEngine:
             return []
         try:
             if request.draft_cache is None:
-                request.draft_cache = self.draft_pool.allocate_sequence()
+                request.draft_cache = self.draft_pool.acquire_sequence()
             suffix = request.prefix[request.draft_cache.seq_len :]
             request.draft_cache.reserve(suffix.size + k - 1)
         except PoolExhaustedError:
@@ -732,7 +727,7 @@ class InferenceEngine:
             accepted += 1
         # Rejected draft KV must not survive: the verifier keeps exactly the
         # committed prefix (minus the trailing token fed next step), the
-        # drafter at most that.  Pooled caches return surplus blocks here.
+        # drafter at most that.  Paged caches return surplus pages here.
         request.cache.truncate(prefix_len + accepted)
         request.draft_cache.truncate(
             min(request.draft_cache.seq_len, prefix_len + accepted)

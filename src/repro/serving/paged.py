@@ -1,17 +1,15 @@
 """Global paged KV store with cross-request prefix sharing.
 
-The per-request :class:`~repro.serving.pool.KVBlockPool` hands every
-sequence its own private blocks, so N requests carrying the same system
-prompt each prefill it and each hold a full copy of its KV state.  At
-multi-tenant scale that is the dominant waste: the paper's serving-side
-memory argument (Section 2.2, Figure 12) already makes KV state the
-bottleneck, and most production traffic shares prompt prefixes.
+The paper's serving-side memory argument (Section 2.2, Figure 12) is that
+decode-phase state — the KV cache — dominates memory at realistic batch
+sizes, and most production traffic shares prompt prefixes.  A private
+block per request would make N requests carrying the same system prompt
+each prefill it and each hold a full copy of its KV state.  This module is
+the serving-side answer (vLLM/SGLang-style):
 
-This module is the serving-side answer (vLLM/SGLang-style):
-
-- :class:`PagedKVStore` owns one fixed arena of *pages* (fixed-size token
-  slots across every layer, same geometry as the block pool) behind a
-  single allocator with **per-page reference counts**.
+- :class:`PagedKVStore` owns one fixed arena of *pages* (``block_tokens``
+  token slots across every layer, so a page id is valid in every layer)
+  behind a single allocator with **per-page reference counts**.
 - A **radix index** keyed on token ids maps full pages of already-computed
   prefixes to their page ids.  ``acquire_sequence(tokens)`` walks it and
   returns a sequence cache whose block table starts with the matched
@@ -28,18 +26,22 @@ This module is the serving-side answer (vLLM/SGLang-style):
   pages), so a tenant prefix stays warm across request lifetimes — a
   finished request's prompt pages serve the next arrival for free.
 
+The index is keyed only by what the scheduler notes: a sequence acquired
+without tokens and never given ``note_tokens`` neither matches nor seals,
+so the store degenerates to a plain refcounted block allocator.  That is
+the *unshared* mode (``prefix_sharing=False``, the drafter's private KV):
+same allocator, no index — which isolates the sharing logic exactly.
+
 Exactness: KV entries are a deterministic function of the token prefix
 and absolute positions (RoPE included), so serving from shared pages is
 bit-identical to re-prefilling — the engine's token-for-token identity
-contract against the unshared pool holds on every trace.
+contract between sharing on and off holds on every trace.
 
-``PagedSequenceCache`` satisfies the same ``seq_len`` / ``append`` /
-``reserve`` / ``truncate`` / ``free`` contract as
-:class:`~repro.serving.pool.PooledSequenceCache`, so the engine, the
-ragged runtime caches in :mod:`repro.nn.kv_cache`, and the attention
-kernels are oblivious to the sharing.  The one addition is
-``note_tokens``: the scheduler tells the cache which token ids the next
-forward will append, which is what keys the radix index.
+``PagedSequenceCache`` satisfies the ``seq_len`` / ``append`` contract of
+:class:`~repro.nn.kv_cache.LayerKVCache` per layer, plus ``reserve`` /
+``truncate`` / ``free`` for the scheduler, so the engine, the ragged
+runtime caches in :mod:`repro.nn.kv_cache`, and the attention kernels are
+oblivious to the paging.
 """
 
 from __future__ import annotations
@@ -78,10 +80,12 @@ class _RadixNode:
 class PagedKVStore:
     """A refcounted page arena plus a radix index over sealed prefixes.
 
-    Exposes the same accounting surface as
-    :class:`~repro.serving.pool.KVBlockPool` (``n_blocks`` /
-    ``block_tokens`` / ``available_blocks`` / ``used_blocks`` / ``fits``)
-    so the engine's admission control works unchanged.  ``used_blocks``
+    The accounting surface (``n_blocks`` / ``block_tokens`` /
+    ``available_blocks`` / ``used_blocks`` / ``fits``) is what the engine's
+    admission control reads.  ``kv_heads`` overrides the model's KV head
+    count — a tensor-parallel rank stores only its covering KV-head slice;
+    a pipeline stage passes ``n_layers`` so its store holds only the
+    stage's own decoder layers.  ``used_blocks``
     counts pages referenced by live sequences; sealed pages at refcount
     zero are *reclaimable* and counted available — they are cache, not
     occupancy.
@@ -356,10 +360,6 @@ class PagedKVStore:
         shared = len(pages) * self.block_tokens
         return PagedSequenceCache(self, pages, ids[:shared], node, root=root)
 
-    def allocate_sequence(self) -> "PagedSequenceCache":
-        """Pool-compatible alias: a fresh cache with no prefix lookup."""
-        return self.acquire_sequence(None)
-
     # -- page data ---------------------------------------------------------
     def copy_page(self, src: int, dst: int, slots: int) -> None:
         """Copy the first ``slots`` token slots of ``src`` into ``dst``
@@ -371,10 +371,10 @@ class PagedKVStore:
 class PagedLayerCache:
     """One layer's slots of one sequence, backed by shared store pages.
 
-    Same ``seq_len`` / ``append -> (keys, values)`` / ``truncate`` contract
-    as :class:`~repro.serving.pool.PooledLayerCache`; the only behavioural
-    difference is the write guard — appending into a sealed or shared page
-    is a COW violation and raises instead of corrupting a neighbour.
+    Same ``seq_len`` / ``append -> (keys, values)`` contract as
+    :class:`~repro.nn.kv_cache.LayerKVCache`, plus ``truncate``; appending
+    into a sealed or shared page is a COW violation and raises instead of
+    corrupting a neighbour.
     """
 
     def __init__(self, sequence: "PagedSequenceCache", layer: int, length: int) -> None:
@@ -474,9 +474,11 @@ class PagedLayerCache:
 class PagedSequenceCache:
     """Per-request view over shared store pages, with COW bookkeeping.
 
-    Structurally compatible with
-    :class:`~repro.serving.pool.PooledSequenceCache` (``.layers`` /
-    ``seq_len`` / ``reserve`` / ``truncate`` / ``free``).  The sealed
+    Structurally compatible with :class:`~repro.nn.kv_cache.ModelKVCache`
+    (``.layers`` / ``seq_len``), so it can be passed to the model's cached
+    forward paths directly.  Capacity is *reserved* ahead of a forward
+    pass (``reserve``) so admission control and preemption decisions
+    happen in the scheduler, not mid-layer.  The sealed
     region of the block table — the first ``_sealed_pages`` entries — is
     immutable and potentially shared; everything past it is private.
     """
@@ -503,7 +505,7 @@ class PagedSequenceCache:
             for layer in range(store.n_layers)
         ]
 
-    # -- pool-compatible surface -------------------------------------------
+    # -- cache surface ------------------------------------------------------
     @property
     def seq_len(self) -> int:
         return self.layers[0].seq_len
@@ -519,6 +521,10 @@ class PagedSequenceCache:
         return len(self.layers)
 
     def reserve(self, new_tokens: int) -> None:
+        """Ensure capacity for ``new_tokens`` more positions; raises
+        :class:`PoolExhaustedError` (allocating nothing) when the store
+        cannot supply the missing pages — the scheduler's signal to stop
+        admitting or to preempt."""
         if self.closed:
             raise ServingError("cannot reserve on a freed sequence cache")
         if new_tokens < 0:
@@ -619,12 +625,13 @@ class PagedSequenceCache:
         onto the existing page and the duplicate freed — N concurrent
         identical prefills converge to one physical copy.
         """
-        if self._seal_frozen:
-            return
         store = self.store
         page_size = store.block_tokens
+        noted = len(self._tokens) // page_size
+        if self._seal_frozen or noted <= self._sealed_pages:
+            return  # nothing new to seal (always so for unnoted sequences)
         min_len = min(layer._len for layer in self.layers)
-        want = min(min_len // page_size, len(self._tokens) // page_size)
+        want = min(min_len // page_size, noted)
         while self._sealed_pages < want:
             index = self._sealed_pages
             page = self.block_table[index]

@@ -1,4 +1,4 @@
-"""Weight-quantization baseline."""
+"""Weight-quantization baseline: int8 grids + fp32 scales, real storage."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,12 @@ import pytest
 from repro.compression import (
     dequantize_weight,
     quantize_model_real,
-    quantize_model_weights,
     quantize_weight,
     quantized_weight_bytes,
-    restore_quantized,
     restore_real_quantized,
 )
 from repro.errors import DecompositionError
-from repro.models import build_model
+from repro.nn import QuantizedFactorizedLinear, QuantizedLinear
 
 
 class TestQuantizeWeight:
@@ -84,40 +82,83 @@ class TestQuantizedBytes:
         )
 
 
+def _slot(model, layer, role):
+    owner, attr = model.tensor_slot(layer, role)
+    return getattr(owner, attr)
+
+
 class TestQuantizeModel:
     def test_in_place_and_restorable(self, micro_llama, tokenizer):
         tokens = np.random.default_rng(0).integers(1, tokenizer.vocab_size, size=(1, 6))
+        micro_llama.eval()
         before = micro_llama(tokens).data.copy()
-        report = quantize_model_weights(micro_llama, [0, 1], ["w_q", "w_d"], bits=4)
+        report = quantize_model_real(micro_llama, 4, [0, 1], ["w_q", "w_d"])
+        assert isinstance(_slot(micro_llama, 1, "w_d"), QuantizedLinear)
         during = micro_llama(tokens).data.copy()
         assert not np.array_equal(before, during)
-        restore_quantized(micro_llama, report)
+        restore_real_quantized(micro_llama, report)
         assert np.array_equal(micro_llama(tokens).data, before)
 
     def test_memory_reduction_matches_bits(self, micro_llama):
-        report = quantize_model_weights(micro_llama, [0], ["w_q"], bits=8)
-        assert report.memory_reduction == pytest.approx(0.5, abs=0.05)
-        restore_quantized(micro_llama, report)
+        shape = _slot(micro_llama, 0, "w_q").weight.data.shape
+        report = quantize_model_real(micro_llama, 8, [0], ["w_q"])
+        try:
+            # Measured storage is exactly the modeled int8 grid + fp32 scales.
+            assert report.weight_bytes_after == quantized_weight_bytes(shape, 8)
+            # Against the fp32 weights: a quarter, plus the scale overhead.
+            saving = 1.0 - 1.0 / report.memory_reduction_x
+            assert saving == pytest.approx(0.75, abs=0.05)
+        finally:
+            restore_real_quantized(micro_llama, report)
 
     def test_report_errors_bounded(self, micro_llama):
-        report = quantize_model_weights(micro_llama, [0, 2], ["w_q", "w_so"], bits=8)
-        assert 0.0 <= report.mean_error < 0.02
-        restore_quantized(micro_llama, report)
+        """Relative weight error of the stored grids falls as bits rise and
+        is small at int8."""
+        from repro.decomposition.metrics import relative_error
+
+        targets = [(0, "w_q"), (2, "w_so")]
+        originals = {
+            target: _slot(micro_llama, *target).weight.data.copy()
+            for target in targets
+        }
+        mean_errors = []
+        for bits in (2, 3, 4, 8):
+            report = quantize_model_real(micro_llama, bits, [0, 2], ["w_q", "w_so"])
+            try:
+                mean_errors.append(
+                    float(
+                        np.mean(
+                            [
+                                relative_error(
+                                    originals[target],
+                                    _slot(micro_llama, *target).dequantize(),
+                                )
+                                for target in targets
+                            ]
+                        )
+                    )
+                )
+            finally:
+                restore_real_quantized(micro_llama, report)
+        assert mean_errors == sorted(mean_errors, reverse=True)
+        assert len(set(mean_errors)) == len(mean_errors)  # strictly falling
+        assert 0.0 <= mean_errors[-1] < 0.02
 
     def test_restore_bit_exact_over_repeated_cycles(self, micro_llama, tokenizer):
         tokens = np.random.default_rng(7).integers(
             1, tokenizer.vocab_size, size=(1, 5)
         )
+        micro_llama.eval()
         before = micro_llama(tokens).data.copy()
         originals = {
             name: param.data.copy()
             for name, param in micro_llama.named_parameters()
         }
         for bits in (8, 4, 2):
-            report = quantize_model_weights(
-                micro_llama, [0, 1], ["w_q", "w_u", "w_d"], bits=bits
+            report = quantize_model_real(
+                micro_llama, bits, [0, 1], ["w_q", "w_u", "w_d"]
             )
-            restore_quantized(micro_llama, report)
+            restore_real_quantized(micro_llama, report)
         for name, param in micro_llama.named_parameters():
             np.testing.assert_array_equal(param.data, originals[name])
         np.testing.assert_array_equal(micro_llama(tokens).data, before)
@@ -129,18 +170,23 @@ class TestQuantizeModel:
             micro_llama,
             DecompositionConfig(layers=(0,), roles=("w_q",), rank=2),
         )
+        factorized = _slot(micro_llama, 0, "w_q")
         tokens = np.random.default_rng(8).integers(
             1, tokenizer.vocab_size, size=(1, 5)
         )
+        micro_llama.eval()
         before = micro_llama(tokens).data.copy()
-        report = quantize_model_weights(micro_llama, [0], ["w_q"], bits=8)
-        assert sorted(t.role for t in report.tensors) == [
-            "w_q.core",
-            "w_q.u1",
-            "w_q.u2",
-        ]
+        report = quantize_model_real(micro_llama, 8, [0], ["w_q"])
+        quantized = _slot(micro_llama, 0, "w_q")
+        assert isinstance(quantized, QuantizedFactorizedLinear)
+        # Each factor carries its own grid and per-output-column scales.
+        for factor in ("u1", "core", "u2"):
+            grid, scales = quantize_weight(getattr(factorized, factor).data, 8)
+            np.testing.assert_array_equal(getattr(quantized, f"{factor}_grid"), grid)
+            np.testing.assert_array_equal(getattr(quantized, f"{factor}_scales"), scales)
         assert not np.array_equal(micro_llama(tokens).data, before)
-        restore_quantized(micro_llama, report)
+        restore_real_quantized(micro_llama, report)
+        assert _slot(micro_llama, 0, "w_q") is factorized
         np.testing.assert_array_equal(micro_llama(tokens).data, before)
 
     def test_int8_nearly_lossless_on_trained_model(self, trained_llama):
@@ -152,43 +198,15 @@ class TestQuantizeModel:
         model, tokenizer = trained_llama
         suite = build_suite(get_world(), names=("arc_easy",))
         baseline = evaluate_suite(model, tokenizer, suite, limit=40).mean_accuracy
-        all_layers = range(model.config.n_layers)
-        report = quantize_model_weights(
-            model, all_layers, model.config.tensor_roles, bits=8
-        )
+        report = quantize_model_real(model, 8)
         try:
             quantized = evaluate_suite(model, tokenizer, suite, limit=40).mean_accuracy
         finally:
-            restore_quantized(model, report)
+            restore_real_quantized(model, report)
         assert quantized >= baseline - 0.05
 
 
 class TestRealQuantization:
-    def test_simulated_and_real_logits_bit_identical(self, micro_llama_config, tokenizer):
-        """The contract the fast path's bit-identity rests on: real
-        quantized storage dequantizes to exactly the weights simulated
-        quantization bakes in."""
-        simulated = build_model(micro_llama_config, rng=np.random.default_rng(5))
-        real = build_model(micro_llama_config, rng=np.random.default_rng(5))
-        real.load_state_dict(simulated.state_dict())
-        quantize_model_weights(
-            simulated,
-            range(micro_llama_config.n_layers),
-            micro_llama_config.tensor_roles,
-            bits=8,
-        )
-        quantize_model_real(real, 8)
-        simulated.eval()
-        tokens = np.random.default_rng(9).integers(
-            1, tokenizer.vocab_size, size=(2, 6)
-        )
-        from repro.runtime import fastpath
-
-        with fastpath.disabled():
-            np.testing.assert_array_equal(
-                simulated(tokens).data, real(tokens).data
-            )
-
     def test_restore_swaps_original_modules_back(self, micro_llama, tokenizer):
         tokens = np.random.default_rng(10).integers(
             1, tokenizer.vocab_size, size=(1, 5)

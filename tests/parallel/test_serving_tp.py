@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 from repro.parallel import ShardedLlama
-from repro.parallel.local import ShardedKVPool
+from repro.parallel.local import ShardedPagedStore
 from repro.parallel.sharding import shard_model
 from repro.parallel.mesh import DeviceMesh
-from repro.serving import EngineConfig, InferenceEngine, poisson_trace, replay_trace
+from repro.serving import (
+    EngineConfig,
+    InferenceEngine,
+    PagedKVStore,
+    poisson_trace,
+    replay_trace,
+)
 from repro.serving.bench import run_serve_bench
-from repro.serving.pool import KVBlockPool
 
 from tests.parallel.conftest import TINY, build_tiny
 
@@ -59,17 +64,21 @@ class TestEngineIntegration:
         sharded = ShardedLlama(model, 2)
         try:
             engine = InferenceEngine(sharded, EngineConfig(**ENGINE_CONFIG))
-            assert isinstance(engine.pool, ShardedKVPool)
+            assert isinstance(engine.pool, ShardedPagedStore)
             assert len(engine.pool.pools) == 2
         finally:
             sharded.close()
 
 
 class TestShardedKVPool:
+    """:class:`ShardedPagedStore` geometry and lockstep accounting (the
+    class keeps its name from the retired per-rank block pool so test ids
+    stay stable)."""
+
     def test_per_rank_pools_hold_covering_heads_only(self, model):
         shards = shard_model(model, DeviceMesh(2))
-        pool = ShardedKVPool(shards, n_blocks=16, block_tokens=8)
-        full = KVBlockPool(TINY, n_blocks=16, block_tokens=8)
+        pool = ShardedPagedStore(shards, n_blocks=16, block_tokens=8)
+        full = PagedKVStore(TINY, n_blocks=16, block_tokens=8)
         # 2 kv heads over 2 ranks: one head each, so the sharded total
         # equals the canonical pool's bytes (no GQA-cover overlap here).
         assert pool.bytes_allocated == full.bytes_allocated
@@ -81,14 +90,14 @@ class TestShardedKVPool:
         # At world size 4 each rank covers one kv head, so the 2 kv heads
         # are stored twice across the group.
         shards = shard_model(model, DeviceMesh(4))
-        pool = ShardedKVPool(shards, n_blocks=16, block_tokens=8)
-        full = KVBlockPool(TINY, n_blocks=16, block_tokens=8)
+        pool = ShardedPagedStore(shards, n_blocks=16, block_tokens=8)
+        full = PagedKVStore(TINY, n_blocks=16, block_tokens=8)
         assert pool.bytes_allocated == 2 * full.bytes_allocated
 
     def test_reservations_stay_symmetric(self, model):
         shards = shard_model(model, DeviceMesh(2))
-        pool = ShardedKVPool(shards, n_blocks=4, block_tokens=8)
-        cache = pool.allocate_sequence()
+        pool = ShardedPagedStore(shards, n_blocks=4, block_tokens=8)
+        cache = pool.acquire_sequence()
         cache.reserve(10)  # 2 blocks on every rank
         assert cache.seq_len == 0
         assert pool.used_blocks == 2

@@ -56,6 +56,24 @@ class TestAdmissionControl:
         request = engine.submit(np.arange(8), max_new_tokens=8)
         assert request.finish_reason == "exceeds-pool"
 
+    def test_out_of_vocab_prompt_raises_before_registration(
+        self, smoke_model, smoke_config
+    ):
+        """A bad id must not reach the embedding: it raises at submit and
+        leaves the engine serving its valid co-submitted work exactly."""
+        engine = small_engine(smoke_model)
+        good = engine.submit(np.array([3, 5, 7]), max_new_tokens=4)
+        for bad in (500, smoke_config.vocab_size, -1):
+            with pytest.raises(ServingError, match="token ids"):
+                engine.submit(np.array([3, bad, 7]), max_new_tokens=4)
+        assert engine.n_queued == 1
+        engine.run_until_idle()
+        assert good.state is RequestState.FINISHED
+        np.testing.assert_array_equal(good.tokens, reference_tokens(smoke_model, good))
+        assert [r.request_id for r in engine.results()] == [good.request_id]
+        assert engine.submit(np.array([1]), max_new_tokens=1).request_id == 1
+        assert engine.pool.used_blocks == 0
+
     def test_queue_full_rejected(self, smoke_model):
         engine = small_engine(smoke_model, max_queue=1)
         first = engine.submit(np.arange(4), max_new_tokens=2)

@@ -1,7 +1,8 @@
 """Cross-request prefix sharing under the engine: exactness and accounting.
 
 The paged store is only admissible if it is invisible in the output:
-token-for-token identity with the per-request-pool engine on every trace,
+token-for-token identity with the unshared engine (same store, radix
+index never consulted) on every trace,
 at tp=1 and tp=2, with and without speculative decoding.  On top of that,
 the whole point — N requests with a common P-token prefix incur exactly
 one P-token prefill — is asserted via the engine's prefill-token
@@ -101,6 +102,46 @@ class TestTokenIdentity:
         finished = [r for r in requests if r.state is RequestState.FINISHED]
         assert finished
         for request in finished:
+            np.testing.assert_array_equal(
+                request.tokens,
+                smoke_model.greedy_generate(
+                    request.prompt, max_new_tokens=request.max_new_tokens
+                ),
+            )
+
+
+class TestUnsharedIsIndexFree:
+    """``prefix_sharing=False`` is the same allocator with no index: after a
+    shared-prefix trace with a drafter, neither the verifier store nor the
+    draft store of any rank ever looked up, sealed, or kept a page."""
+
+    @pytest.mark.parametrize("tp", [1, 2])
+    def test_no_index_activity_and_exact(self, smoke_model, smoke_config, drafter, tp):
+        trace = prefix_trace(smoke_config, seed=4)
+        model, draft_model = smoke_model, drafter
+        if tp > 1:
+            from repro.parallel import ShardedLlama
+
+            model, draft_model = ShardedLlama(smoke_model, tp), ShardedLlama(drafter, tp)
+        try:
+            engine, requests = replay_with(
+                model, trace, engine_config(prefix_sharing=False), draft_model
+            )
+        finally:
+            if tp > 1:
+                model.close()
+                draft_model.close()
+        for pool in (engine.pool, engine.draft_pool):
+            stores = getattr(pool, "pools", [pool])
+            assert len(stores) == tp
+            for store in stores:
+                assert store.cached_blocks == 0
+                assert store.prefix_lookups == 0
+                assert store.used_blocks == 0
+        assert engine.metrics.prefix_lookups == 0
+        assert engine.metrics.spec_drafted > 0, "drafter never ran"
+        for request in requests:
+            assert request.state is RequestState.FINISHED
             np.testing.assert_array_equal(
                 request.tokens,
                 smoke_model.greedy_generate(
