@@ -42,11 +42,9 @@ def main() -> None:
         ),
     )
     print(report.table())
-    speedup = report.speedup_over_dense("pr33")
-    print(f"\npr33 measured decode speedup over dense: {speedup:.2f}x")
     dense = report.result_for("dense")
     print(
-        f"dense engine: mean decode batch {dense.mean_decode_batch:.1f}, "
+        f"\ndense engine: mean decode batch {dense.mean_decode_batch:.1f}, "
         f"queue wait p50 {1000 * dense.queue_wait_p50_s:.1f} ms, "
         f"e2e p95 {1000 * dense.e2e_p95_s:.1f} ms"
     )

@@ -9,7 +9,7 @@ Commands
   tiny model checkpoints.
 - ``repro eval [--limit N]`` — evaluate the cached tiny Llama on the suite.
 - ``repro serve-bench [--variants dense,pr33,...] [--trace FAMILY]
-  [--tp N] [--pp P] [--json PATH]`` — replay a synthetic trace through
+  [--tp N] [--pp P]`` — replay a synthetic trace through
   the continuous-batching engine for each model variant and report
   TTFT/throughput percentiles (plus prefix-sharing hit rate / prefill
   tokens saved) next to the analytic hardware-model projection.
@@ -22,38 +22,40 @@ Commands
   reported per channel;
   ``--no-prefix-sharing`` serves with the paged KV store's radix index
   off; ``--verify-identity`` re-replays on that unshared engine and
-  fails on any token mismatch; ``--run-dir``/``--run-name``
-  persist the run as manifest.json / metrics.jsonl / summary.json /
-  report.md (bit-identically replayable); ``--json`` dumps the full
-  report; ``--profile`` attaches the fast path's op-level profiler.
+  fails on any token mismatch; ``--profile`` attaches the fast path's
+  op-level profiler.
   ``--router slo`` turns the variant list into a quality ladder (best
   first), tags trace requests with QoS classes (``--qos-mix`` reweights
   the default gold/interactive/batch split), and appends an adaptively
   routed replay whose goodput is compared against every fixed variant;
   ``--degrade-at``/``--upgrade-at``/``--dwell`` set the router's
   hysteresis (``--watermark projected`` switches the signal to projected
-  TTFT seconds via ``--degrade-ttft``/``--upgrade-ttft``).  Whenever a run persists evidence (``--json`` or a run
-  dir) one summary line is appended to ``benchmarks/trajectory.jsonl``
-  (``--trajectory`` overrides the path, ``--no-trajectory`` disables).
+  TTFT seconds via ``--degrade-ttft``/``--upgrade-ttft``).
 - ``repro bench-decode [--variants dense,rank1,...] [--tp 1,2]
-  [--bits B] [--json PATH]`` — measure prefill/decode tokens-per-second
+  [--bits B]`` — measure prefill/decode tokens-per-second
   of the Tensor-graph driver vs. the no-grad fast path per variant and
   tensor-parallel degree, verifying bit-identical logits along the way.
   ``--bits 8`` measures each variant's int8-quantized twin alongside it
   and reports the quantized-vs-fp32 decode ratio plus the weight-memory
   reduction of the int grids against the dense fp32 projections.
-- ``repro quant-sweep [--specs dense,rank8,rank1] [--bits 8,4]
-  [--run-name NAME]`` — walk the rank × bits joint design space on the
-  pretrained tiny Llama: per point, six-benchmark accuracy through the
-  real quantized weights, fast-path decode tokens/s (bit-identity
-  checked), and the hardware model's memory/energy projection; persists
-  a replayable run artifact (``--replay DIR`` verifies one bit for bit).
   With ``--speculative`` it instead benchmarks speculative decoding:
   low-rank drafters (``--drafters``) propose ``--spec-k`` tokens per cycle
   on a spectrum-shaped model, the dense model verifies, and every cell
   checks token identity with dense greedy decoding while reporting the
   measured acceptance rate and effective tokens/s.  ``serve-bench
   --speculative DRAFTER[:K]`` serves a whole Poisson trace that way.
+- ``repro quant-sweep [--specs dense,rank8,rank1] [--bits 8,4]`` — walk
+  the rank × bits joint design space on the pretrained tiny Llama: per
+  point, six-benchmark accuracy through the real quantized weights,
+  fast-path decode tokens/s (bit-identity checked), and the hardware
+  model's memory/energy projection (``--replay DIR`` verifies a
+  persisted sweep bit for bit).
+
+All three bench commands share one output surface: ``--run-dir DIR``
+persists the run as manifest.json / metrics.jsonl / summary.json /
+report.md (the printed report; see :mod:`repro.runs`) and appends one
+summary line to ``benchmarks/trajectory.jsonl`` (``--trajectory``
+overrides the path, ``--no-trajectory`` disables the line).
 """
 
 from __future__ import annotations
@@ -188,14 +190,17 @@ def _parse_qos_mix(text: str, defaults) -> list:
     return classes
 
 
-def _maybe_append_trajectory(args: argparse.Namespace, entry: dict) -> None:
-    """Append one ledger line when the run persisted evidence."""
-    if args.no_trajectory:
+def _persist(args: argparse.Namespace, manifest: dict, report) -> None:
+    """Write the ``--run-dir`` run artifact and its ledger line."""
+    if args.run_dir is None:
         return
-    from repro.serving import append_trajectory
+    from repro.runs import append_trajectory, write_run_artifact
 
-    path = append_trajectory(entry, path=args.trajectory)
-    print(f"appended trajectory line to {path}")
+    write_run_artifact(args.run_dir, manifest, report)
+    print(f"wrote run artifact {args.run_dir}/")
+    if not args.no_trajectory:
+        path = append_trajectory(report.trajectory_entry(), path=args.trajectory)
+        print(f"appended trajectory line to {path}")
 
 
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
@@ -212,7 +217,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         trace_from_manifest,
         trace_manifest,
         trace_stats,
-        write_run_artifact,
     )
 
     config = get_config(args.model)
@@ -254,7 +258,11 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         **trace_params,
     )
     trace = trace_from_manifest({"trace": trace_spec})
-    trace_info = {"family": args.trace, "stats": trace_stats(trace)}
+    trace_info = {
+        "family": args.trace,
+        "rate_rps": args.rate,
+        "stats": trace_stats(trace),
+    }
     drafter_spec = None
     spec_k = 4
     spec_adaptive = False
@@ -299,79 +307,26 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         router_config=router_config,
     )
     print(report.table())
-    print()
-    for result in report.results:
-        if result.spec != "dense" and "dense" in variants:
-            print(
-                f"{result.spec}: measured decode speedup over dense "
-                f"{report.speedup_over_dense(result.spec):.2f}x "
-                f"(hwmodel projects {result.projected_tokens_per_s:,.0f} tok/s "
-                f"at batch {result.projection.batch})"
-            )
-    if args.json:
-        import json
-        from pathlib import Path
-
-        path = Path(args.json)
-        path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-        print(f"wrote {path}")
-    if args.run_dir or args.run_name:
-        from pathlib import Path
-
-        run_dir = (
-            Path(args.run_dir)
-            if args.run_dir
-            else Path("benchmarks") / "runs" / args.run_name
-        )
-        manifest = {
-            "name": run_dir.name,
-            "model": args.model,
-            "variants": variants,
-            "gpu": args.gpu,
-            "tp": args.tp,
-            "pp": args.pp,
-            "seed": args.seed,
-            "speculative": args.speculative,
-            "verify_identity": args.verify_identity,
-            "router": args.router,
-            "router_config": (
-                dataclasses.asdict(router_config) if router_config else None
-            ),
-            "engine": dataclasses.asdict(engine_config),
-            "trace": trace_spec,
-        }
-        write_run_artifact(run_dir, manifest, report)
-        print(f"wrote run artifact {run_dir}/")
-    if args.verify_identity and not all(
-        result.tokens_match_unshared for result in report.results
-    ):
+    manifest = {
+        "model": args.model,
+        "variants": variants,
+        "gpu": args.gpu,
+        "tp": args.tp,
+        "pp": args.pp,
+        "seed": args.seed,
+        "speculative": args.speculative,
+        "verify_identity": args.verify_identity,
+        "router": args.router,
+        "router_config": (
+            dataclasses.asdict(router_config) if router_config else None
+        ),
+        "engine": dataclasses.asdict(engine_config),
+        "trace": trace_spec,
+    }
+    _persist(args, manifest, report)
+    if report.identity_ok is False:
         print("ERROR: paged-engine output diverged from the unshared engine")
         return 1
-    if args.json or args.run_dir or args.run_name:
-        entry = {
-            "bench": "serve-bench",
-            "model": args.model,
-            "trace": args.trace,
-            "tp": args.tp,
-            "pp": args.pp,
-            "requests": args.requests,
-            "variants": variants,
-            "decode_tokens_per_s": {
-                result.spec: round(result.decode_tokens_per_s, 2)
-                for result in report.results
-            },
-        }
-        goodput_rates = {
-            result.spec: round(result.goodput["rate"], 4)
-            for result in report.results
-            if result.goodput
-        }
-        if goodput_rates:
-            entry["goodput_rates"] = goodput_rates
-        comparison = report.goodput_vs_fixed()
-        if comparison:
-            entry["goodput_vs_fixed"] = comparison
-        _maybe_append_trajectory(args, entry)
     return 0
 
 
@@ -385,6 +340,14 @@ def _cmd_bench_decode(args: argparse.Namespace) -> int:
     model = build_model(config, rng=np.random.default_rng(args.seed))
     model.eval()
     tp_degrees = [int(t) for t in args.tp.split(",") if t.strip()]
+    manifest = {
+        "bench": "bench-decode",
+        "model": args.model,
+        "tp": tp_degrees,
+        "prompt_tokens": args.prompt_tokens,
+        "new_tokens": args.new_tokens,
+        "seed": args.seed,
+    }
     if args.speculative:
         drafters = [d.strip() for d in args.drafters.split(",") if d.strip()]
         k_values = [int(k) for k in args.spec_k.split(",") if k.strip()]
@@ -398,82 +361,34 @@ def _cmd_bench_decode(args: argparse.Namespace) -> int:
             seed=args.seed,
             decay=args.spec_decay,
         )
-        print(report.table())
-        if args.json:
-            import json
-            from pathlib import Path
-
-            path = Path(args.json)
-            path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-            print(f"wrote {path}")
-        if not report.all_tokens_match:
-            print("ERROR: speculative output diverged from dense greedy decoding")
-            return 1
-        if args.json:
-            _maybe_append_trajectory(
-                args,
-                {
-                    "bench": "bench-decode-spec",
-                    "model": args.model,
-                    "cells": len(report.cells),
-                    "max_acceptance_rate": round(report.max_acceptance_rate, 4),
-                    "best_speedup_tp1": round(report.best_speedup_tp1, 3),
-                },
-            )
-        return 0
-    variants = [spec.strip() for spec in args.variants.split(",") if spec.strip()]
-    report = run_decode_bench(
-        model,
-        variant_specs=variants,
-        tp_degrees=tp_degrees,
-        prompt_tokens=args.prompt_tokens,
-        new_tokens=args.new_tokens,
-        seed=args.seed,
-        profile=args.profile,
-        bits=args.bits,
-    )
-    print(report.table())
-    ratios = report.quant_decode_ratios()
-    if ratios:
-        print()
-        for spec, ratio in ratios.items():
-            print(f"{spec}: {ratio:.2f}x fp32 fast-path decode at tp=1")
-        print(
-            f"min quantized weight-memory reduction "
-            f"{report.min_quant_memory_reduction:.2f}x (vs dense fp32 projections)"
+        manifest.update(
+            bench="bench-decode-spec",
+            drafters=drafters,
+            k_values=k_values,
+            decay=args.spec_decay,
         )
-    if args.json:
-        import json
-        from pathlib import Path
-
-        path = Path(args.json)
-        path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-        print(f"wrote {path}")
-    if not report.all_bit_identical:
-        print("ERROR: fast-path logits diverged from the Tensor-graph driver")
+        failed = not report.all_tokens_match
+        error = "speculative output diverged from dense greedy decoding"
+    else:
+        variants = [spec.strip() for spec in args.variants.split(",") if spec.strip()]
+        report = run_decode_bench(
+            model,
+            variant_specs=variants,
+            tp_degrees=tp_degrees,
+            prompt_tokens=args.prompt_tokens,
+            new_tokens=args.new_tokens,
+            seed=args.seed,
+            profile=args.profile,
+            bits=args.bits,
+        )
+        manifest.update(variants=variants, bits=args.bits, profile=args.profile)
+        failed = not report.all_bit_identical
+        error = "fast-path logits diverged from the Tensor-graph driver"
+    print(report.table())
+    _persist(args, manifest, report)
+    if failed:
+        print(f"ERROR: {error}")
         return 1
-    if args.json:
-        entry = {
-            "bench": "bench-decode",
-            "model": args.model,
-            "cells": len(report.cells),
-            "decode_tokens_per_s": {
-                f"{cell.spec}/tp{cell.tp}": round(
-                    cell.fast.decode_tokens_per_s, 1
-                )
-                for cell in report.cells
-            },
-            "min_decode_speedup": round(report.min_decode_speedup, 3),
-        }
-        if report.min_quant_decode_ratio is not None:
-            entry["min_quant_decode_ratio"] = round(
-                report.min_quant_decode_ratio, 3
-            )
-        if report.min_quant_memory_reduction is not None:
-            entry["min_quant_memory_reduction"] = round(
-                report.min_quant_memory_reduction, 2
-            )
-        _maybe_append_trajectory(args, entry)
     return 0
 
 
@@ -482,7 +397,6 @@ def _cmd_quant_sweep(args: argparse.Namespace) -> int:
         replay_quant_sweep,
         run_quant_sweep,
         sweep_manifest,
-        write_quant_sweep_artifact,
     )
 
     if args.replay:
@@ -508,31 +422,10 @@ def _cmd_quant_sweep(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     print(report.table())
-    if args.json:
-        import json
-        from pathlib import Path
-
-        path = Path(args.json)
-        path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-        print(f"wrote {path}")
-    run_dir = None
-    if args.run_dir or args.run_name:
-        from pathlib import Path
-
-        run_dir = (
-            Path(args.run_dir)
-            if args.run_dir
-            else Path("benchmarks") / "runs" / args.run_name
-        )
-        write_quant_sweep_artifact(
-            run_dir, sweep_manifest(report, base_specs, bit_widths), report
-        )
-        print(f"wrote run artifact {run_dir}/")
+    _persist(args, sweep_manifest(report), report)
     if not report.all_bit_identical:
         print("ERROR: fast-path logits diverged from the Tensor-graph driver")
         return 1
-    if args.json or run_dir is not None:
-        _maybe_append_trajectory(args, report.trajectory_entry())
     return 0
 
 
@@ -581,8 +474,33 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--limit", type=int, default=None)
     evaluate.set_defaults(func=_cmd_eval)
 
+    # The one output surface every bench command shares.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument(
+        "--run-dir",
+        default=None,
+        metavar="DIR",
+        help=(
+            "persist the run to DIR as manifest.json, metrics.jsonl, "
+            "summary.json and report.md (the printed report), and append "
+            "one line to the performance ledger"
+        ),
+    )
+    output.add_argument(
+        "--trajectory",
+        default=None,
+        metavar="PATH",
+        help="performance-ledger path (default benchmarks/trajectory.jsonl)",
+    )
+    output.add_argument(
+        "--no-trajectory",
+        action="store_true",
+        help="write the run dir without appending a ledger line",
+    )
+
     serve = sub.add_parser(
         "serve-bench",
+        parents=[output],
         help="replay a Poisson trace through the serving engine per variant",
     )
     serve.add_argument("--model", default="serve-llama")
@@ -709,12 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="dump the full metrics/projection report as JSON",
-    )
-    serve.add_argument(
         "--profile",
         action="store_true",
         help="record and print the fast path's per-op wall-time profile",
@@ -732,18 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
              "unless every request's tokens match exactly",
     )
     serve.add_argument(
-        "--run-dir",
-        default=None,
-        metavar="DIR",
-        help="persist manifest.json/metrics.jsonl/summary.json to DIR",
-    )
-    serve.add_argument(
-        "--run-name",
-        default=None,
-        metavar="NAME",
-        help="persist the run artifact to benchmarks/runs/NAME/",
-    )
-    serve.add_argument(
         "--speculative",
         default=None,
         metavar="DRAFTER[:K|:auto]",
@@ -754,21 +654,11 @@ def build_parser() -> argparse.ArgumentParser:
             "observed acceptance rate"
         ),
     )
-    serve.add_argument(
-        "--trajectory",
-        default=None,
-        metavar="PATH",
-        help="performance-ledger path (default benchmarks/trajectory.jsonl)",
-    )
-    serve.add_argument(
-        "--no-trajectory",
-        action="store_true",
-        help="do not append a summary line to the performance ledger",
-    )
     serve.set_defaults(func=_cmd_serve_bench)
 
     bench_decode = sub.add_parser(
         "bench-decode",
+        parents=[output],
         help="measure Tensor-path vs fast-path prefill/decode throughput",
     )
     bench_decode.add_argument("--model", default="serve-llama")
@@ -794,9 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_decode.add_argument("--prompt-tokens", type=int, default=32)
     bench_decode.add_argument("--new-tokens", type=int, default=48)
     bench_decode.add_argument("--seed", type=int, default=0)
-    bench_decode.add_argument(
-        "--json", default=None, metavar="PATH", help="dump the report as JSON"
-    )
     bench_decode.add_argument(
         "--profile",
         action="store_true",
@@ -831,21 +718,11 @@ def build_parser() -> argparse.ArgumentParser:
             "weights (trained-weight regime; 0 disables shaping)"
         ),
     )
-    bench_decode.add_argument(
-        "--trajectory",
-        default=None,
-        metavar="PATH",
-        help="performance-ledger path (default benchmarks/trajectory.jsonl)",
-    )
-    bench_decode.add_argument(
-        "--no-trajectory",
-        action="store_true",
-        help="do not append a summary line to the performance ledger",
-    )
     bench_decode.set_defaults(func=_cmd_bench_decode)
 
     quant_sweep = sub.add_parser(
         "quant-sweep",
+        parents=[output],
         help=(
             "measure the rank × bits joint design space on the pretrained "
             "tiny Llama: accuracy, fast-path decode tok/s, and hwmodel "
@@ -869,21 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
     quant_sweep.add_argument("--new-tokens", type=int, default=24)
     quant_sweep.add_argument("--seed", type=int, default=0)
     quant_sweep.add_argument(
-        "--json", default=None, metavar="PATH", help="dump the report as JSON"
-    )
-    quant_sweep.add_argument(
-        "--run-dir",
-        default=None,
-        metavar="DIR",
-        help="persist manifest.json/metrics.jsonl/summary.json to DIR",
-    )
-    quant_sweep.add_argument(
-        "--run-name",
-        default=None,
-        metavar="NAME",
-        help="persist the run artifact to benchmarks/runs/NAME/",
-    )
-    quant_sweep.add_argument(
         "--replay",
         default=None,
         metavar="DIR",
@@ -891,17 +753,6 @@ def build_parser() -> argparse.ArgumentParser:
             "instead of sweeping, rebuild the sweep recorded in DIR from "
             "its manifest and verify every point's logits fingerprint"
         ),
-    )
-    quant_sweep.add_argument(
-        "--trajectory",
-        default=None,
-        metavar="PATH",
-        help="performance-ledger path (default benchmarks/trajectory.jsonl)",
-    )
-    quant_sweep.add_argument(
-        "--no-trajectory",
-        action="store_true",
-        help="do not append a summary line to the performance ledger",
     )
     quant_sweep.set_defaults(func=_cmd_quant_sweep)
 

@@ -20,7 +20,6 @@ from repro.experiments.quant_sweep import (
     QuantSweepReport,
     replay_quant_sweep,
     run_quant_sweep,
-    write_quant_sweep_artifact,
 )
 from repro.experiments.rank_sweep import (
     RankSweepPoint,
@@ -57,7 +56,6 @@ __all__ = [
     "QuantSweepReport",
     "replay_quant_sweep",
     "run_quant_sweep",
-    "write_quant_sweep_artifact",
     "RankSweepPoint",
     "run_rank_sweep",
     "rank_variation",

@@ -15,17 +15,14 @@ Each point also records a SHA-256 fingerprint of its greedy-decode logits,
 which is what makes a persisted sweep *replayable*: rebuilding the sweep
 from its manifest must reproduce every fingerprint bit for bit.
 
-The persisted artifact follows the serve-bench run-directory layout
-(``manifest.json`` / ``metrics.jsonl`` / ``summary.json`` / ``report.md``)
-so existing tooling can grep and diff it the same way.
+A sweep persists through :func:`repro.runs.write_run_artifact` like every
+other bench command; :func:`sweep_manifest` is its manifest.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -75,22 +72,7 @@ class QuantSweepPoint:
         return float(np.mean(list(self.accuracy.values())))
 
     def to_dict(self) -> dict:
-        return {
-            "spec": self.spec,
-            "bits": self.bits,
-            "parameter_reduction": self.parameter_reduction,
-            "accuracy": dict(self.accuracy),
-            "mean_accuracy": self.mean_accuracy,
-            "decode_tokens_per_s": self.decode_tokens_per_s,
-            "tensor_decode_tokens_per_s": self.tensor_decode_tokens_per_s,
-            "bit_identical": self.bit_identical,
-            "weight_bytes": self.weight_bytes,
-            "memory_reduction_x": self.memory_reduction_x,
-            "compound_reduction_x": self.compound_reduction_x,
-            "projected_memory_gb": self.projected_memory_gb,
-            "projected_energy_j": self.projected_energy_j,
-            "logits_fingerprint": self.logits_fingerprint,
-        }
+        return dict(asdict(self), mean_accuracy=self.mean_accuracy)
 
 
 @dataclass
@@ -103,6 +85,8 @@ class QuantSweepReport:
     prompt_tokens: int
     new_tokens: int
     benchmarks: Tuple[str, ...]
+    base_specs: Tuple[str, ...]
+    bit_widths: Tuple[Optional[int], ...]
     points: List[QuantSweepPoint] = field(default_factory=list)
 
     @property
@@ -116,33 +100,39 @@ class QuantSweepReport:
         raise ConfigError(f"sweep has no point {spec!r}")
 
     def table(self) -> str:
-        header = (
-            f"quant-sweep: {self.model} (rank × bits joint space, "
-            f"limit={self.limit}, fast-path decode at tp=1)"
-        )
-        lines = [header, "-" * len(header)]
-        lines.append(
-            f"{'spec':>12} {'bits':>5} {'mean acc':>9} {'decode tok/s':>13} "
-            f"{'weights':>10} {'mem x':>6} {'hw GB':>7} {'hw J':>9}  verdict"
-        )
+        """The printed report, also persisted verbatim as ``report.md``."""
+        widths = ", ".join(_bits_name(bits) for bits in self.bit_widths)
+        verdict = "exact" if self.all_bit_identical else "LOGITS MISMATCH"
+        lines = [
+            f"# quant-sweep: {self.model} (rank × bits joint space, "
+            f"limit={self.limit}, fast-path decode at tp=1)",
+            "",
+            f"- **space:** {', '.join(self.base_specs)} × {widths} "
+            f"· **seed:** {self.seed}",
+            f"- **fast-path identity:** {verdict} across all points",
+            "",
+            "| spec | bits | mean acc | decode tok/s | weight bytes "
+            "| mem reduction | hw mem (GB) | hw energy (J) | verdict |",
+            "|---|---|---|---|---|---|---|---|---|",
+        ]
         for point in self.points:
-            bits = "fp32" if point.bits is None else f"int{point.bits}"
             compound = (
-                "  -  "
+                "-"
                 if point.compound_reduction_x is None
-                else f"{point.compound_reduction_x:5.2f}"
+                else f"{point.compound_reduction_x:.2f}x"
             )
             verdict = "exact" if point.bit_identical else "LOGITS MISMATCH"
             lines.append(
-                f"{point.spec:>12} {bits:>5} {100 * point.mean_accuracy:>8.1f}% "
-                f"{point.decode_tokens_per_s:>13.1f} "
-                f"{point.weight_bytes:>10,} {compound:>6} "
-                f"{point.projected_memory_gb:>7.3f} "
-                f"{point.projected_energy_j:>9.1f}  [{verdict}]"
+                f"| {point.spec} | {_bits_name(point.bits)} "
+                f"| {100 * point.mean_accuracy:.1f}% "
+                f"| {point.decode_tokens_per_s:.1f} "
+                f"| {point.weight_bytes:,} | {compound} "
+                f"| {point.projected_memory_gb:.3f} "
+                f"| {point.projected_energy_j:.1f} | [{verdict}] |"
             )
         return "\n".join(lines)
 
-    def to_dict(self) -> dict:
+    def summary(self) -> dict:
         return {
             "bench": "quant-sweep",
             "model": self.model,
@@ -151,9 +141,14 @@ class QuantSweepReport:
             "prompt_tokens": self.prompt_tokens,
             "new_tokens": self.new_tokens,
             "benchmarks": list(self.benchmarks),
+            "base_specs": list(self.base_specs),
+            "bit_widths": list(self.bit_widths),
             "all_bit_identical": self.all_bit_identical,
-            "points": [point.to_dict() for point in self.points],
+            "points": len(self.points),
         }
+
+    def records(self) -> List[dict]:
+        return [point.to_dict() for point in self.points]
 
     def trajectory_entry(self) -> dict:
         """The headline cells the performance ledger keeps."""
@@ -176,6 +171,10 @@ class QuantSweepReport:
                 for point in self.points
             },
         }
+
+
+def _bits_name(bits: Optional[int]) -> str:
+    return "fp32" if bits is None else f"int{bits}"
 
 
 def _greedy_fingerprint(runner, prompt: np.ndarray, new_tokens: int) -> str:
@@ -268,91 +267,25 @@ def run_quant_sweep(
         prompt_tokens=prompt_tokens,
         new_tokens=new_tokens,
         benchmarks=names,
+        base_specs=tuple(base_specs),
+        bit_widths=tuple(bit_widths),
         points=points,
     )
 
 
-# -- persistence --------------------------------------------------------------
-
-def sweep_manifest(report: QuantSweepReport, base_specs, bit_widths) -> dict:
+def sweep_manifest(report: QuantSweepReport) -> dict:
     """Everything :func:`replay_quant_sweep` needs to rebuild the sweep."""
     return {
         "bench": "quant-sweep",
         "model": report.model,
-        "base_specs": list(base_specs),
-        "bit_widths": list(bit_widths),
+        "base_specs": list(report.base_specs),
+        "bit_widths": list(report.bit_widths),
         "limit": report.limit,
         "prompt_tokens": report.prompt_tokens,
         "new_tokens": report.new_tokens,
         "seed": report.seed,
         "benchmarks": list(report.benchmarks),
     }
-
-
-def render_sweep_report(manifest: dict, summary: dict) -> str:
-    """Markdown rendering of a persisted sweep (regenerable offline)."""
-    lines = [f"# quant-sweep run: {summary.get('model', '?')}", ""]
-    lines.append(
-        f"- **space:** {', '.join(manifest.get('base_specs', []))} × "
-        f"{', '.join('fp32' if b is None else f'int{b}' for b in manifest.get('bit_widths', []))}"
-        f" · **limit:** {manifest.get('limit')} · **seed:** {manifest.get('seed')}"
-    )
-    verdict = "exact" if summary.get("all_bit_identical") else "LOGITS MISMATCH"
-    lines.append(f"- **fast-path identity:** {verdict} across all points")
-    lines.append("")
-    lines.append(
-        "| spec | bits | mean acc | decode tok/s | weight bytes "
-        "| mem reduction | hw mem (GB) | hw energy (J) |"
-    )
-    lines.append("|---|---|---|---|---|---|---|---|")
-    for point in summary.get("points", []):
-        bits = "fp32" if point["bits"] is None else f"int{point['bits']}"
-        compound = (
-            "-"
-            if point.get("compound_reduction_x") is None
-            else f"{point['compound_reduction_x']:.2f}x"
-        )
-        lines.append(
-            f"| {point['spec']} | {bits} "
-            f"| {100 * point['mean_accuracy']:.1f}% "
-            f"| {point['decode_tokens_per_s']:.1f} "
-            f"| {point['weight_bytes']:,} | {compound} "
-            f"| {point['projected_memory_gb']:.3f} "
-            f"| {point['projected_energy_j']:.1f} |"
-        )
-    lines.append("")
-    return "\n".join(lines)
-
-
-def write_quant_sweep_artifact(run_dir, manifest: dict, report: QuantSweepReport) -> Path:
-    """Persist a sweep as ``manifest.json/metrics.jsonl/summary.json/report.md``."""
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    summary = report.to_dict()
-    lines = [json.dumps(point) for point in summary.pop("points")]
-    summary["points"] = len(lines)
-    (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    (run_dir / "metrics.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""))
-    (run_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    full = report.to_dict()
-    (run_dir / "report.md").write_text(render_sweep_report(manifest, full))
-    return run_dir
-
-
-def load_quant_sweep(run_dir) -> Tuple[dict, dict, List[dict]]:
-    """Read a sweep run back: (manifest, summary, per-point records)."""
-    run_dir = Path(run_dir)
-    for name in ("manifest.json", "summary.json", "metrics.jsonl"):
-        if not (run_dir / name).exists():
-            raise ConfigError(f"sweep run directory {run_dir} is missing {name}")
-    manifest = json.loads((run_dir / "manifest.json").read_text())
-    summary = json.loads((run_dir / "summary.json").read_text())
-    records = [
-        json.loads(line)
-        for line in (run_dir / "metrics.jsonl").read_text().splitlines()
-        if line.strip()
-    ]
-    return manifest, summary, records
 
 
 def replay_quant_sweep(run_dir) -> Tuple[QuantSweepReport, Dict[str, bool]]:
@@ -364,7 +297,9 @@ def replay_quant_sweep(run_dir) -> Tuple[QuantSweepReport, Dict[str, bool]]:
     match too but only fingerprints are compared: they are the bit-level
     witness; throughput is machine-dependent.)
     """
-    manifest, _, records = load_quant_sweep(run_dir)
+    from repro.runs import load_run
+
+    manifest, _, records = load_run(run_dir)
     report = run_quant_sweep(
         base_specs=manifest["base_specs"],
         bit_widths=[
@@ -389,11 +324,8 @@ __all__ = [
     "DEFAULT_SWEEP_SPECS",
     "QuantSweepPoint",
     "QuantSweepReport",
-    "load_quant_sweep",
-    "render_sweep_report",
     "replay_quant_sweep",
     "run_quant_sweep",
     "sweep_manifest",
     "sweep_specs",
-    "write_quant_sweep_artifact",
 ]

@@ -16,7 +16,7 @@ step), then times one prefill of ``prompt_tokens`` positions and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from time import perf_counter
 from typing import List, Optional, Sequence
 
@@ -35,12 +35,6 @@ class PathTiming:
 
     prefill_tokens_per_s: float
     decode_tokens_per_s: float
-
-    def to_dict(self) -> dict:
-        return {
-            "prefill_tokens_per_s": self.prefill_tokens_per_s,
-            "decode_tokens_per_s": self.decode_tokens_per_s,
-        }
 
 
 @dataclass(frozen=True)
@@ -94,19 +88,11 @@ class DecodeBenchCell:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "spec": self.spec,
-            "tp": self.tp,
-            "tensor": self.tensor.to_dict(),
-            "fast": self.fast.to_dict(),
-            "prefill_speedup": self.prefill_speedup,
-            "decode_speedup": self.decode_speedup,
-            "bit_identical": self.bit_identical,
-            "profile": self.profile,
-            "bits": self.bits,
-            "memory_reduction_x": self.memory_reduction_x,
-            "compound_reduction_x": self.compound_reduction_x,
-        }
+        return dict(
+            asdict(self),
+            prefill_speedup=self.prefill_speedup,
+            decode_speedup=self.decode_speedup,
+        )
 
 
 @dataclass(frozen=True)
@@ -171,6 +157,16 @@ class DecodeBenchReport:
         )
         lines = [header, "-" * len(header)]
         lines.extend(cell.summary_line() for cell in self.cells)
+        ratios = self.quant_decode_ratios()
+        if ratios:
+            lines.append("")
+            for spec, ratio in ratios.items():
+                lines.append(f"{spec}: {ratio:.2f}x fp32 fast-path decode at tp=1")
+            lines.append(
+                f"min quantized weight-memory reduction "
+                f"{self.min_quant_memory_reduction:.2f}x "
+                f"(vs dense fp32 projections)"
+            )
         profiled = [cell for cell in self.cells if cell.profile]
         for cell in profiled:
             lines.append("")
@@ -178,7 +174,7 @@ class DecodeBenchReport:
             lines.append(cell.profile)
         return "\n".join(lines)
 
-    def to_dict(self) -> dict:
+    def summary(self) -> dict:
         return {
             "model": self.model,
             "prompt_tokens": self.prompt_tokens,
@@ -189,8 +185,31 @@ class DecodeBenchReport:
             "quant_decode_ratios": self.quant_decode_ratios(),
             "min_quant_decode_ratio": self.min_quant_decode_ratio,
             "min_quant_memory_reduction": self.min_quant_memory_reduction,
-            "cells": [cell.to_dict() for cell in self.cells],
+            "cells": len(self.cells),
         }
+
+    def records(self) -> List[dict]:
+        return [cell.to_dict() for cell in self.cells]
+
+    def trajectory_entry(self) -> dict:
+        entry = {
+            "bench": "bench-decode",
+            "model": self.model,
+            "cells": len(self.cells),
+            "all_bit_identical": self.all_bit_identical,
+            "decode_tokens_per_s": {
+                f"{cell.spec}/tp{cell.tp}": round(cell.fast.decode_tokens_per_s, 1)
+                for cell in self.cells
+            },
+            "min_decode_speedup": round(self.min_decode_speedup, 3),
+        }
+        if self.min_quant_decode_ratio is not None:
+            entry["min_quant_decode_ratio"] = round(self.min_quant_decode_ratio, 3)
+        if self.min_quant_memory_reduction is not None:
+            entry["min_quant_memory_reduction"] = round(
+                self.min_quant_memory_reduction, 2
+            )
+        return entry
 
 
 def _timed_generation(runner, prompt: np.ndarray, new_tokens: int):
@@ -228,6 +247,13 @@ def _bench_path(runner, prompt: np.ndarray, new_tokens: int):
         decode_tokens_per_s=max(new_tokens - 1, 1) / max(best_decode, 1e-12),
     )
     return timing, tokens, first, last
+
+
+def _check_tp_degrees(tp_degrees: Sequence[int]) -> None:
+    if not tp_degrees or any(tp < 1 for tp in tp_degrees):
+        raise ConfigError(
+            f"tensor-parallel degrees must be >= 1, got {list(tp_degrees)}"
+        )
 
 
 def _dense_projection_fp32_bytes(config) -> int:
@@ -327,6 +353,7 @@ def run_decode_bench(
 
     if not variant_specs:
         raise ConfigError("at least one variant spec is required")
+    _check_tp_degrees(tp_degrees)
     if prompt_tokens < 1 or new_tokens < 2:
         raise ConfigError(
             f"need prompt_tokens >= 1 and new_tokens >= 2, got "
@@ -394,18 +421,7 @@ class SpecBenchCell:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "drafter": self.drafter,
-            "k": self.k,
-            "tp": self.tp,
-            "tokens_match": self.tokens_match,
-            "acceptance_rate": self.acceptance_rate,
-            "drafted": self.drafted,
-            "accepted": self.accepted,
-            "baseline_tokens_per_s": self.baseline_tokens_per_s,
-            "effective_tokens_per_s": self.effective_tokens_per_s,
-            "speedup": self.speedup,
-        }
+        return dict(asdict(self), speedup=self.speedup)
 
 
 @dataclass(frozen=True)
@@ -444,7 +460,7 @@ class SpecBenchReport:
         lines.extend(cell.summary_line() for cell in self.cells)
         return "\n".join(lines)
 
-    def to_dict(self) -> dict:
+    def summary(self) -> dict:
         return {
             "model": self.model,
             "prompt_tokens": self.prompt_tokens,
@@ -454,7 +470,20 @@ class SpecBenchReport:
             "all_tokens_match": self.all_tokens_match,
             "max_acceptance_rate": self.max_acceptance_rate,
             "best_speedup_tp1": self.best_speedup_tp1,
-            "cells": [cell.to_dict() for cell in self.cells],
+            "cells": len(self.cells),
+        }
+
+    def records(self) -> List[dict]:
+        return [cell.to_dict() for cell in self.cells]
+
+    def trajectory_entry(self) -> dict:
+        return {
+            "bench": "bench-decode-spec",
+            "model": self.model,
+            "cells": len(self.cells),
+            "all_tokens_match": self.all_tokens_match,
+            "max_acceptance_rate": round(self.max_acceptance_rate, 4),
+            "best_speedup_tp1": round(self.best_speedup_tp1, 3),
         }
 
 
@@ -526,6 +555,7 @@ def run_spec_bench(
         raise ConfigError("at least one drafter spec is required")
     if not k_values or any(k < 1 for k in k_values):
         raise ConfigError(f"k values must be >= 1, got {list(k_values)}")
+    _check_tp_degrees(tp_degrees)
     if prompt_tokens < 1 or new_tokens < 2:
         raise ConfigError(
             f"need prompt_tokens >= 1 and new_tokens >= 2, got "

@@ -18,14 +18,6 @@ load (hot-swapping a live request's decode variant between steps), and
 goodput scoring that judges routed replays against every fixed variant.
 """
 
-from repro.serving.artifacts import (
-    append_trajectory,
-    load_run,
-    render_report,
-    trace_from_manifest,
-    trace_manifest,
-    write_run_artifact,
-)
 from repro.serving.bench import (
     ROUTER_SPEC,
     ServeBenchReport,
@@ -71,6 +63,8 @@ from repro.serving.trace import (
     make_trace,
     poisson_trace,
     shared_prefix_trace,
+    trace_from_manifest,
+    trace_manifest,
     trace_stats,
 )
 from repro.serving.variants import (
@@ -109,7 +103,6 @@ __all__ = [
     "TraceRequest",
     "VariantBenchResult",
     "VariantRegistry",
-    "append_trajectory",
     "assign_qos",
     "bench_routed",
     "bench_variant",
@@ -119,13 +112,11 @@ __all__ = [
     "goodput_summary",
     "heavy_tail_trace",
     "ladder_index",
-    "load_run",
     "make_trace",
     "parse_variant_spec",
     "poisson_trace",
     "qos_catalog",
     "qos_mix",
-    "render_report",
     "replay_trace",
     "request_records",
     "run_serve_bench",
@@ -133,5 +124,4 @@ __all__ = [
     "trace_from_manifest",
     "trace_manifest",
     "trace_stats",
-    "write_run_artifact",
 ]

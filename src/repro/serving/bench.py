@@ -17,7 +17,7 @@ prediction (Sections 2.2 and 4.3).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -178,38 +178,42 @@ class VariantBenchResult:
     def projected_tokens_per_s(self) -> float:
         return self.projection.tokens_per_second
 
-    def summary_line(self) -> str:
-        line = (
-            f"{self.spec:>8}  pr={100 * self.parameter_reduction:5.1f}%  "
-            f"ok={self.finished}/{self.n_requests}  "
-            f"ttft p50={1e3 * self.ttft_p50_s:7.1f}ms p95={1e3 * self.ttft_p95_s:7.1f}ms  "
-            f"decode={self.decode_tokens_per_s:8.1f} tok/s  "
-            f"projected={self.projected_tokens_per_s:10.0f} tok/s"
-        )
+    def table_row(self) -> str:
+        """This variant's row of the report's markdown variant table."""
+        notes = []
         if self.drafter is not None:
-            line += (
-                f"  spec[{self.drafter}] accept={self.spec_acceptance_rate:5.1%}"
+            notes.append(
+                f"spec[{self.drafter}] accept={self.spec_acceptance_rate:.1%}"
                 f" ({self.spec_accepted}/{self.spec_drafted},"
                 f" fallbacks={self.spec_fallbacks})"
             )
         if self.prefix_lookups:
-            line += (
-                f"  prefix hit={self.prefix_hit_rate:5.1%}"
+            notes.append(
+                f"prefix hit={self.prefix_hit_rate:.1%}"
                 f" saved={self.prefill_tokens_saved} tok"
             )
         if self.goodput is not None:
-            line += (
-                f"  goodput={self.goodput['good']}/{self.goodput['eligible']}"
-                f" ({self.goodput['rate']:5.1%})"
+            notes.append(
+                f"goodput={self.goodput['good']}/{self.goodput['eligible']}"
+                f" ({self.goodput['rate']:.1%})"
             )
         if self.router is not None:
-            line += (
-                f"  router[down={self.router['downgrades']}"
+            notes.append(
+                f"router[down={self.router['downgrades']}"
                 f" up={self.router['upgrades']} swaps={self.router['swaps']}]"
             )
         if self.tokens_match_unshared is not None:
-            line += "  [identity ok]" if self.tokens_match_unshared else "  [DIVERGED]"
-        return line
+            notes.append(
+                "[identity ok]" if self.tokens_match_unshared else "[DIVERGED]"
+            )
+        return (
+            f"| {self.spec} | {100 * self.parameter_reduction:.1f} "
+            f"| {self.finished}/{self.n_requests} "
+            f"| {1e3 * self.ttft_p50_s:.1f} | {1e3 * self.ttft_p95_s:.1f} "
+            f"| {self.decode_tokens_per_s:.1f} "
+            f"| {self.projected_tokens_per_s:,.0f} "
+            f"| {' · '.join(notes) or '-'} |"
+        )
 
     def comm_line(self) -> Optional[str]:
         """Measured traffic next to the analytic projection, per channel."""
@@ -236,42 +240,13 @@ class VariantBenchResult:
         return "\n".join(lines) if lines else None
 
     def to_dict(self) -> dict:
+        """The row's ``summary.json`` entry (per-request samples excluded)."""
         payload = {
-            "spec": self.spec,
-            "parameter_reduction": self.parameter_reduction,
-            "n_requests": self.n_requests,
-            "finished": self.finished,
-            "rejected": self.rejected,
-            "preemptions": self.preemptions,
-            "ttft_p50_s": self.ttft_p50_s,
-            "ttft_p95_s": self.ttft_p95_s,
-            "ttft_p99_s": self.ttft_p99_s,
-            "queue_wait_p50_s": self.queue_wait_p50_s,
-            "e2e_p95_s": self.e2e_p95_s,
-            "decode_tokens_per_s": self.decode_tokens_per_s,
-            "overall_tokens_per_s": self.overall_tokens_per_s,
-            "mean_decode_batch": self.mean_decode_batch,
-            "tp": self.tp,
-            "pp": self.pp,
-            "projection": asdict(self.projection),
-            "projected_tokens_per_s": self.projected_tokens_per_s,
-            "comm": self.comm,
-            "metrics": self.metrics_snapshot,
-            "profile": self.profile,
-            "drafter": self.drafter,
-            "spec_acceptance_rate": self.spec_acceptance_rate,
-            "spec_drafted": self.spec_drafted,
-            "spec_accepted": self.spec_accepted,
-            "spec_fallbacks": self.spec_fallbacks,
-            "prefix_lookups": self.prefix_lookups,
-            "prefix_hits": self.prefix_hits,
-            "prefix_hit_rate": self.prefix_hit_rate,
-            "prefill_tokens_saved": self.prefill_tokens_saved,
-            "requests": self.requests,
-            "tokens_match_unshared": self.tokens_match_unshared,
-            "goodput": self.goodput,
-            "router": self.router,
+            f.name: getattr(self, f.name) for f in fields(self) if f.name != "requests"
         }
+        payload["projection"] = asdict(self.projection)
+        payload["metrics"] = payload.pop("metrics_snapshot")
+        payload["projected_tokens_per_s"] = self.projected_tokens_per_s
         return payload
 
 
@@ -324,6 +299,17 @@ class ServeBenchReport:
             "beats_best_fixed": routed.goodput["rate"] > max(fixed.values()),
         }
 
+    @property
+    def identity_ok(self) -> Optional[bool]:
+        """Every identity-checked row matched the unshared engine; None
+        when no row was checked (routed rows never are)."""
+        checked = [
+            r.tokens_match_unshared
+            for r in self.results
+            if r.tokens_match_unshared is not None
+        ]
+        return all(checked) if checked else None
+
     def speedup_over_dense(self, spec: str) -> float:
         """Measured decode-throughput ratio of ``spec`` over ``dense``."""
         dense = self.result_for("dense")
@@ -333,39 +319,130 @@ class ServeBenchReport:
         return other.decode_tokens_per_s / dense.decode_tokens_per_s
 
     def table(self) -> str:
-        tp_note = f", tp={self.tp}" if self.tp > 1 else ""
+        """The printed report, also persisted verbatim as ``report.md``."""
+        notes = [f"{self.n_requests} requests"]
+        trace = self.trace_info or {}
+        if trace.get("family"):
+            rate = trace.get("rate_rps")
+            notes.append(
+                f"{trace['family']} trace"
+                + ("" if rate is None else f" @ {rate} rps")
+            )
+        if self.seed is not None:
+            notes.append(f"seed {self.seed}")
+        if self.tp > 1:
+            notes.append(f"tp={self.tp}")
         if self.pp > 1:
-            tp_note += f", pp={self.pp}"
-        family = (self.trace_info or {}).get("family")
-        trace_note = f", {family} trace" if family else ""
-        header = (
-            f"serve-bench: {self.model} on {self.gpu} projection, "
-            f"{self.n_requests} requests{trace_note}{tp_note}"
-        )
-        lines = [header, "-" * len(header)]
-        lines.extend(result.summary_line() for result in self.results)
-        comm_lines = [line for line in
-                      (result.comm_line() for result in self.results) if line]
-        if comm_lines:
+            notes.append(f"pp={self.pp}")
+        lines = [
+            f"# serve-bench: {self.model} on {self.gpu} projection, "
+            + ", ".join(notes),
+            "",
+        ]
+        if self.qos_info:
+            classes = ", ".join(
+                f"{cls['name']} (floor {cls['quality_floor']}, "
+                f"slo {_ms(cls.get('ttft_slo_s'))}ms)"
+                for cls in self.qos_info.get("classes", [])
+            )
+            lines += [
+                f"- **qos:** unit TTFT {_ms(self.qos_info.get('unit_ttft_s'))}ms"
+                f" · {classes}",
+                "",
+            ]
+        lines += [
+            "| variant | pr % | finished | ttft p50 (ms) | ttft p95 (ms) "
+            "| decode tok/s | projected tok/s | notes |",
+            "|---|---|---|---|---|---|---|---|",
+        ]
+        lines.extend(result.table_row() for result in self.results)
+        if any(result.spec == "dense" for result in self.results):
             lines.append("")
-            lines.extend(comm_lines)
+            for result in self.results:
+                if result.spec != "dense":
+                    lines.append(
+                        f"{result.spec}: measured decode speedup over dense "
+                        f"{self.speedup_over_dense(result.spec):.2f}x "
+                        f"(hwmodel projects {result.projected_tokens_per_s:,.0f}"
+                        f" tok/s at batch {result.projection.batch})"
+                    )
         comparison = self.goodput_vs_fixed()
         if comparison is not None:
             verdict = "beats" if comparison["beats_best_fixed"] else "TRAILS"
-            lines.append("")
-            lines.append(
-                f"goodput: routed {comparison['routed']:.1%} {verdict} best "
-                f"fixed {comparison['best_fixed']:.1%} "
-                f"(worst fixed {comparison['worst_fixed']:.1%})"
-            )
+            lines += [
+                "",
+                f"**Goodput:** routed {comparison['routed']:.1%} {verdict} the "
+                f"best fixed variant ({comparison['best_fixed']:.1%}; worst "
+                f"{comparison['worst_fixed']:.1%}).",
+            ]
+        comm_lines = [
+            line for line in (result.comm_line() for result in self.results) if line
+        ]
+        if comm_lines:
+            lines += ["", "## Collective traffic", "", "```", *comm_lines, "```"]
+        class_rows = [
+            f"| {result.spec} | {name} "
+            f"| {per.get('quality_floor') or '-'} "
+            f"| {_ms(per.get('ttft_slo_s'))} "
+            f"| {per.get('good', 0)}/{per.get('eligible', 0)} "
+            f"| {per.get('slo_violations', 0)} "
+            f"| {per.get('quality_violations', 0)} "
+            f"| {_ms(per.get('ttft_p50_s'))} "
+            f"| {_ms(per.get('ttft_p95_s'))} |"
+            for result in self.results
+            if result.goodput
+            for name, per in sorted(result.goodput.get("per_class", {}).items())
+        ]
+        if class_rows:
+            lines += [
+                "",
+                "## Per-class outcomes",
+                "",
+                "| variant | class | floor | slo (ms) | good | slo miss "
+                "| floor miss | ttft p50 (ms) | ttft p95 (ms) |",
+                "|---|---|---|---|---|---|---|---|---|",
+                *class_rows,
+            ]
+        for result in self.results:
+            router = result.router
+            if not router:
+                continue
+            lines += [
+                "",
+                "## Router decisions",
+                "",
+                f"Ladder {' > '.join(router.get('ladder', []))} · "
+                f"{router.get('downgrades', 0)} downgrades, "
+                f"{router.get('upgrades', 0)} upgrades, "
+                f"{router.get('swaps', 0)} mid-flight hot-swaps.",
+            ]
+            decisions = router.get("decisions", [])
+            if decisions:
+                lines += [
+                    "",
+                    "| step | t (s) | action | from | to | queue | running |",
+                    "|---|---|---|---|---|---|---|",
+                ]
+                lines.extend(
+                    f"| {d.get('step')} | {d.get('now', 0.0):.3f} "
+                    f"| {d.get('action')} | {d.get('from')} | {d.get('to')} "
+                    f"| {d.get('queue_depth')} | {d.get('running')} |"
+                    for d in decisions
+                )
         for result in self.results:
             if result.profile:
-                lines.append("")
-                lines.append(f"op profile — {result.spec} (fast path):")
-                lines.append(result.profile)
+                lines += [
+                    "",
+                    f"## Op profile — {result.spec} (fast path)",
+                    "",
+                    "```",
+                    result.profile,
+                    "```",
+                ]
         return "\n".join(lines)
 
-    def to_dict(self) -> dict:
+    def summary(self) -> dict:
+        """``summary.json``: every aggregate, per-request samples excluded."""
         return {
             "model": self.model,
             "gpu": self.gpu,
@@ -378,6 +455,44 @@ class ServeBenchReport:
             "goodput_vs_fixed": self.goodput_vs_fixed(),
             "results": [result.to_dict() for result in self.results],
         }
+
+    def records(self) -> List[dict]:
+        """``metrics.jsonl``: one sample per (variant, request)."""
+        return [
+            {"variant": result.spec, **record}
+            for result in self.results
+            for record in result.requests
+        ]
+
+    def trajectory_entry(self) -> dict:
+        """The headline numbers the performance ledger keeps."""
+        entry = {
+            "bench": "serve-bench",
+            "model": self.model,
+            "trace": (self.trace_info or {}).get("family"),
+            "tp": self.tp,
+            "pp": self.pp,
+            "requests": self.n_requests,
+            "variants": [r.spec for r in self.results if r.spec != ROUTER_SPEC],
+            "decode_tokens_per_s": {
+                r.spec: round(r.decode_tokens_per_s, 2) for r in self.results
+            },
+        }
+        goodput_rates = {
+            r.spec: round(r.goodput["rate"], 4) for r in self.results if r.goodput
+        }
+        if goodput_rates:
+            entry["goodput_rates"] = goodput_rates
+        comparison = self.goodput_vs_fixed()
+        if comparison:
+            entry["goodput_vs_fixed"] = comparison
+        if self.identity_ok is not None:
+            entry["identity_ok"] = self.identity_ok
+        return entry
+
+
+def _ms(value) -> str:
+    return "-" if value is None else f"{1e3 * float(value):.1f}"
 
 
 def _replay_once(
@@ -491,6 +606,71 @@ def _goodput_dict(
     return summary
 
 
+def _result_row(
+    variant: ModelVariant,
+    trace: Sequence[TraceRequest],
+    metrics,
+    records: List[dict],
+    engine_config: Optional[EngineConfig],
+    gpu: GPUSpec,
+    tp: int,
+    pp: int,
+    drafter: Optional[ModelVariant],
+    **extra,
+) -> VariantBenchResult:
+    """One result row: the replay's metrics plus the hwmodel projection.
+
+    The projection runs at the declared ``max_batch``, not at the measured
+    mean decode batch: a faster variant drains its queue into smaller
+    batches, and projecting each row at its own batch would confound the
+    variants' comparison.  ``extra`` overrides or adds row fields (the
+    routed row's spec, comm traffic, goodput, ...).
+    """
+    max_batch = (engine_config or EngineConfig()).max_batch
+    projection = generation_profile(
+        variant.model.config,
+        gpu,
+        batch=max_batch,
+        prompt_len=max(1, round(sum(t.prompt.size for t in trace) / len(trace))),
+        new_tokens=max(1, round(sum(t.max_new_tokens for t in trace) / len(trace))),
+        decomposition=variant.decomposition,
+        n_gpus=tp,
+        pp=pp,
+    )
+    row = dict(
+        spec=variant.spec,
+        parameter_reduction=variant.parameter_reduction,
+        n_requests=len(trace),
+        finished=metrics.finished,
+        rejected=metrics.rejected,
+        preemptions=metrics.preemptions,
+        ttft_p50_s=metrics.ttft_s.p50,
+        ttft_p95_s=metrics.ttft_s.p95,
+        ttft_p99_s=metrics.ttft_s.p99,
+        queue_wait_p50_s=metrics.queue_wait_s.p50,
+        e2e_p95_s=metrics.e2e_s.p95,
+        decode_tokens_per_s=metrics.decode_tokens_per_s,
+        overall_tokens_per_s=metrics.overall_tokens_per_s,
+        mean_decode_batch=metrics.mean_decode_batch,
+        projection=projection,
+        tp=tp,
+        pp=pp,
+        metrics_snapshot=metrics.snapshot(),
+        drafter=None if drafter is None else drafter.spec,
+        spec_acceptance_rate=metrics.spec_acceptance_rate,
+        spec_drafted=metrics.spec_drafted,
+        spec_accepted=metrics.spec_accepted,
+        spec_fallbacks=metrics.spec_fallbacks,
+        prefix_lookups=metrics.prefix_lookups,
+        prefix_hits=metrics.prefix_hits,
+        prefix_hit_rate=metrics.prefix_hit_rate,
+        prefill_tokens_saved=metrics.prefill_tokens_saved,
+        requests=records,
+    )
+    row.update(extra)
+    return VariantBenchResult(**row)
+
+
 def bench_variant(
     variant: ModelVariant,
     trace: Sequence[TraceRequest],
@@ -545,56 +725,24 @@ def bench_variant(
             for ours, theirs in zip(requests, baseline)
         )
 
-    mean_prompt = max(1, round(sum(t.prompt.size for t in trace) / len(trace)))
-    mean_new = max(1, round(sum(t.max_new_tokens for t in trace) / len(trace)))
-    batch = max(1, round(metrics.mean_decode_batch))
-    projection = generation_profile(
-        variant.model.config,
-        gpu,
-        batch=batch,
-        prompt_len=mean_prompt,
-        new_tokens=mean_new,
-        decomposition=variant.decomposition,
-        n_gpus=tp,
-        pp=pp,
-    )
     records = request_records(requests)
     goodput = (
         _goodput_dict(records, catalog, ladder, metrics, default_spec=variant.spec)
         if catalog is not None
         else None
     )
-    return VariantBenchResult(
-        spec=variant.spec,
-        parameter_reduction=variant.parameter_reduction,
-        n_requests=len(trace),
-        finished=metrics.finished,
-        rejected=metrics.rejected,
-        preemptions=metrics.preemptions,
-        ttft_p50_s=metrics.ttft_s.p50,
-        ttft_p95_s=metrics.ttft_s.p95,
-        ttft_p99_s=metrics.ttft_s.p99,
-        queue_wait_p50_s=metrics.queue_wait_s.p50,
-        e2e_p95_s=metrics.e2e_s.p95,
-        decode_tokens_per_s=metrics.decode_tokens_per_s,
-        overall_tokens_per_s=metrics.overall_tokens_per_s,
-        mean_decode_batch=metrics.mean_decode_batch,
-        projection=projection,
-        tp=tp,
-        pp=pp,
+    return _result_row(
+        variant,
+        trace,
+        metrics,
+        records,
+        engine_config,
+        gpu,
+        tp,
+        pp,
+        drafter,
         comm=comm,
-        metrics_snapshot=metrics.snapshot(),
         profile=profile_table,
-        drafter=None if drafter is None else drafter.spec,
-        spec_acceptance_rate=metrics.spec_acceptance_rate,
-        spec_drafted=metrics.spec_drafted,
-        spec_accepted=metrics.spec_accepted,
-        spec_fallbacks=metrics.spec_fallbacks,
-        prefix_lookups=metrics.prefix_lookups,
-        prefix_hits=metrics.prefix_hits,
-        prefix_hit_rate=metrics.prefix_hit_rate,
-        prefill_tokens_saved=metrics.prefill_tokens_saved,
-        requests=records,
         tokens_match_unshared=tokens_match,
         goodput=goodput,
     )
@@ -653,48 +801,18 @@ def bench_routed(
         for facade in facades:
             facade.close()
     records = request_records(requests)
-    dense = variants[ladder[0]]
-    mean_prompt = max(1, round(sum(t.prompt.size for t in trace) / len(trace)))
-    mean_new = max(1, round(sum(t.max_new_tokens for t in trace) / len(trace)))
-    projection = generation_profile(
-        dense.model.config,
+    return _result_row(
+        variants[ladder[0]],
+        trace,
+        metrics,
+        records,
+        engine_config,
         gpu,
-        batch=max(1, round(metrics.mean_decode_batch)),
-        prompt_len=mean_prompt,
-        new_tokens=mean_new,
-        decomposition=dense.decomposition,
-        n_gpus=tp,
-        pp=pp,
-    )
-    return VariantBenchResult(
+        tp,
+        pp,
+        drafter,
         spec=ROUTER_SPEC,
         parameter_reduction=0.0,
-        n_requests=len(trace),
-        finished=metrics.finished,
-        rejected=metrics.rejected,
-        preemptions=metrics.preemptions,
-        ttft_p50_s=metrics.ttft_s.p50,
-        ttft_p95_s=metrics.ttft_s.p95,
-        ttft_p99_s=metrics.ttft_s.p99,
-        queue_wait_p50_s=metrics.queue_wait_s.p50,
-        e2e_p95_s=metrics.e2e_s.p95,
-        decode_tokens_per_s=metrics.decode_tokens_per_s,
-        overall_tokens_per_s=metrics.overall_tokens_per_s,
-        mean_decode_batch=metrics.mean_decode_batch,
-        projection=projection,
-        tp=tp,
-        pp=pp,
-        metrics_snapshot=metrics.snapshot(),
-        drafter=None if drafter is None else drafter.spec,
-        spec_acceptance_rate=metrics.spec_acceptance_rate,
-        spec_drafted=metrics.spec_drafted,
-        spec_accepted=metrics.spec_accepted,
-        spec_fallbacks=metrics.spec_fallbacks,
-        prefix_lookups=metrics.prefix_lookups,
-        prefix_hits=metrics.prefix_hits,
-        prefix_hit_rate=metrics.prefix_hit_rate,
-        prefill_tokens_saved=metrics.prefill_tokens_saved,
-        requests=records,
         goodput=_goodput_dict(records, catalog, ladder, metrics),
         router=dict(router.snapshot(), swaps=metrics.variant_swaps),
     )

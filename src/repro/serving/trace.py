@@ -363,6 +363,41 @@ def make_trace(
     return trace
 
 
+def trace_manifest(
+    family: str,
+    n_requests: int,
+    rate_rps: float,
+    vocab_size: int,
+    seed: int,
+    **params,
+) -> dict:
+    """The manifest's trace section: exactly :func:`make_trace`'s inputs."""
+    return {
+        "family": family,
+        "n_requests": int(n_requests),
+        "rate_rps": float(rate_rps),
+        "vocab_size": int(vocab_size),
+        "seed": int(seed),
+        "params": dict(params),
+    }
+
+
+def trace_from_manifest(manifest: dict) -> List[TraceRequest]:
+    """Rebuild a run's trace, bit-identically, from its manifest."""
+    try:
+        spec = manifest["trace"] if "trace" in manifest else manifest
+        return make_trace(
+            spec["family"],
+            spec["n_requests"],
+            spec["rate_rps"],
+            spec["vocab_size"],
+            seed=spec["seed"],
+            **spec.get("params", {}),
+        )
+    except KeyError as missing:
+        raise ServingError(f"manifest trace section missing key {missing}") from None
+
+
 def trace_stats(trace: List[TraceRequest]) -> Dict[str, float]:
     """Shape summary of a trace (recorded alongside bench results)."""
     if not trace:
@@ -401,5 +436,7 @@ __all__ = [
     "make_trace",
     "poisson_trace",
     "shared_prefix_trace",
+    "trace_from_manifest",
+    "trace_manifest",
     "trace_stats",
 ]

@@ -6,14 +6,12 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.experiments.quant_sweep import (
-    load_quant_sweep,
-    render_sweep_report,
     replay_quant_sweep,
     run_quant_sweep,
     sweep_manifest,
     sweep_specs,
-    write_quant_sweep_artifact,
 )
+from repro.runs import load_run, write_run_artifact
 
 
 class TestSweepSpecs:
@@ -99,12 +97,11 @@ class TestRunQuantSweep:
 
 class TestSweepArtifact:
     def test_round_trip_and_replay(self, small_sweep, tmp_path):
-        manifest = sweep_manifest(small_sweep, ("dense", "rank8"), (None, 8))
-        run_dir = write_quant_sweep_artifact(
-            tmp_path / "sweep", manifest, small_sweep
-        )
-        loaded_manifest, summary, records = load_quant_sweep(run_dir)
+        manifest = sweep_manifest(small_sweep)
+        run_dir = write_run_artifact(tmp_path / "sweep", manifest, small_sweep)
+        loaded_manifest, summary, records = load_run(run_dir)
         assert loaded_manifest["base_specs"] == ["dense", "rank8"]
+        assert loaded_manifest["bit_widths"] == [None, 8]
         assert summary["all_bit_identical"] is True
         assert summary["points"] == len(records) == 4
         assert {r["spec"] for r in records} == {
@@ -112,6 +109,7 @@ class TestSweepArtifact:
         }
         report_md = (run_dir / "report.md").read_text()
         assert "| rank8-int8 | int8 " in report_md
+        assert report_md == small_sweep.table() + "\n"
         # Replay rebuilds the sweep from the manifest alone; every greedy
         # decode fingerprint must land on the recorded bytes exactly.
         replayed, matches = replay_quant_sweep(run_dir)
@@ -119,18 +117,30 @@ class TestSweepArtifact:
         assert replayed.all_bit_identical
 
     def test_metrics_lines_are_valid_json(self, small_sweep, tmp_path):
-        manifest = sweep_manifest(small_sweep, ("dense", "rank8"), (None, 8))
-        run_dir = write_quant_sweep_artifact(tmp_path / "s", manifest, small_sweep)
+        run_dir = write_run_artifact(
+            tmp_path / "s", sweep_manifest(small_sweep), small_sweep
+        )
         for line in (run_dir / "metrics.jsonl").read_text().splitlines():
             record = json.loads(line)
             assert "logits_fingerprint" in record
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="missing"):
-            load_quant_sweep(tmp_path)
+            load_run(tmp_path)
 
     def test_render_handles_fp32_and_quantized_rows(self, small_sweep):
-        manifest = sweep_manifest(small_sweep, ("dense", "rank8"), (None, 8))
-        rendered = render_sweep_report(manifest, small_sweep.to_dict())
+        rendered = small_sweep.table()
         assert "fp32" in rendered and "int8" in rendered
         assert "exact across all points" in rendered
+
+    def test_reference_sweep_loads(self):
+        manifest, summary, records = load_run(
+            "benchmarks/runs/quant-sweep-reference"
+        )
+        assert summary["all_bit_identical"] is True
+        assert summary["points"] == len(records) == 9
+        assert [r["spec"] for r in records] == [
+            f"{base}{suffix}"
+            for base in manifest["base_specs"]
+            for suffix in ("", "-int8", "-int4")
+        ]

@@ -123,7 +123,7 @@ class TestServeBenchTP:
         assert result.comm is not None
         assert result.comm["bytes_match"] is True
         assert "[exact]" in report.table()
-        payload = report.to_dict()
+        payload = report.summary()
         assert payload["tp"] == 2 and payload["seed"] == 0
         assert payload["results"][0]["comm"]["bytes_match"] is True
 

@@ -309,6 +309,6 @@ class TestQuantizedBench:
         assert quant_cell.bits == 8
         assert quant_cell.memory_reduction_x > 3.0
         assert quant_cell.compound_reduction_x > 3.0
-        payload = report.to_dict()
+        payload = report.summary()
         assert payload["min_quant_memory_reduction"] > 3.0
         assert "dense-int8" in payload["quant_decode_ratios"]

@@ -15,7 +15,12 @@ from repro.decomposition.svd import impose_spectrum, singular_values
 from repro.errors import ConfigError, DecompositionError
 from repro.models import build_model
 from repro.models.config import ModelConfig
-from repro.runtime.benchmark import SpecBenchCell, SpecBenchReport, run_spec_bench
+from repro.runtime.benchmark import (
+    SpecBenchCell,
+    SpecBenchReport,
+    run_decode_bench,
+    run_spec_bench,
+)
 
 CONFIG = ModelConfig(
     name="bench-llama",
@@ -93,12 +98,13 @@ class TestRunSpecBench:
         assert 0.0 <= by_name["rank8"].acceptance_rate <= 1.0
 
     def test_report_json_round_trip(self, report):
-        payload = json.loads(json.dumps(report.to_dict()))
+        payload = json.loads(json.dumps(report.summary()))
         assert payload["all_tokens_match"] is True
         assert payload["model"] == CONFIG.name
         assert payload["max_acceptance_rate"] == report.max_acceptance_rate
         assert payload["best_speedup_tp1"] == report.best_speedup_tp1
-        cell = payload["cells"][0]
+        assert payload["cells"] == len(report.cells)
+        cell = json.loads(json.dumps(report.records()))[0]
         for key in ("drafter", "k", "tp", "tokens_match", "acceptance_rate",
                     "drafted", "accepted", "baseline_tokens_per_s",
                     "effective_tokens_per_s", "speedup"):
@@ -124,6 +130,13 @@ class TestRunSpecBench:
             run_spec_bench(base_model, k_values=(0,))
         with pytest.raises(ConfigError):
             run_spec_bench(base_model, new_tokens=1)
+
+
+@pytest.mark.parametrize("bench", [run_decode_bench, run_spec_bench])
+@pytest.mark.parametrize("tp_degrees", [[], [0], [-1], [1, 0]])
+def test_tp_degrees_below_one_rejected(base_model, bench, tp_degrees):
+    with pytest.raises(ConfigError, match="tensor-parallel"):
+        bench(base_model, tp_degrees=tp_degrees, prompt_tokens=4, new_tokens=4)
 
 
 class TestReportAccounting:

@@ -5,17 +5,17 @@ import json
 import numpy as np
 import pytest
 
-from repro.errors import ServingError
+from repro.errors import ConfigError, ServingError
+from repro.runs import load_run, write_run_artifact
 from repro.serving import (
     EngineConfig,
-    load_run,
     shared_prefix_trace,
     trace_from_manifest,
     trace_manifest,
-    write_run_artifact,
 )
-from repro.serving.artifacts import records_by_variant
 from repro.serving.bench import run_serve_bench
+
+RUN_FILES = ["manifest.json", "metrics.jsonl", "report.md", "summary.json"]
 
 
 @pytest.fixture(scope="module")
@@ -55,9 +55,7 @@ def manifest():
 class TestWriteAndLoad:
     def test_round_trip(self, tmp_path, manifest, report):
         run_dir = write_run_artifact(tmp_path / "run", manifest, report)
-        assert (run_dir / "manifest.json").exists()
-        assert (run_dir / "metrics.jsonl").exists()
-        assert (run_dir / "summary.json").exists()
+        assert sorted(path.name for path in run_dir.iterdir()) == RUN_FILES
         loaded_manifest, summary, records = load_run(run_dir)
         assert loaded_manifest == manifest
         assert summary["model"] == report.model
@@ -67,7 +65,9 @@ class TestWriteAndLoad:
         for result in summary["results"]:
             assert "requests" not in result
             assert result["prefix_lookups"] >= 0
-        grouped = records_by_variant(records)
+        grouped = {}
+        for record in records:
+            grouped.setdefault(record["variant"], []).append(record)
         assert sorted(grouped) == ["dense", "rank8"]
         assert all(len(rows) == 8 for rows in grouped.values())
         for row in records:
@@ -79,12 +79,18 @@ class TestWriteAndLoad:
         assert all(json.loads(line) for line in lines)
 
     def test_manifest_without_trace_rejected(self, tmp_path, report):
+        run_dir = write_run_artifact(tmp_path / "run", {"name": "x"}, report)
+        loaded, _, _ = load_run(run_dir)
         with pytest.raises(ServingError, match="trace"):
-            write_run_artifact(tmp_path / "run", {"name": "x"}, report)
+            trace_from_manifest(loaded)
 
     def test_load_missing_file_raises(self, tmp_path):
-        with pytest.raises(ServingError, match="missing"):
+        with pytest.raises(ConfigError, match="missing"):
             load_run(tmp_path)
+
+    def test_report_md_is_the_printed_table(self, tmp_path, manifest, report):
+        run_dir = write_run_artifact(tmp_path / "run", manifest, report)
+        assert (run_dir / "report.md").read_text() == report.table() + "\n"
 
 
 class TestTraceReplay:
@@ -197,11 +203,11 @@ class TestReportRendering:
     def test_report_md_written(self, tmp_path, manifest, report):
         run_dir = write_run_artifact(tmp_path / "run", manifest, report)
         text = (run_dir / "report.md").read_text()
-        assert "# serve-bench run: smoke-llama" in text
+        assert "# serve-bench: smoke-llama" in text
         assert "| dense " in text
         # An unrouted run renders no router/QoS sections.
         assert "Router decisions" not in text
-        assert not (run_dir / "router.jsonl").exists()
+        assert sorted(path.name for path in run_dir.iterdir()) == RUN_FILES
 
     def test_routed_run_gets_router_log_and_sections(
         self, tmp_path, routed_manifest, routed_report
@@ -214,14 +220,32 @@ class TestReportRendering:
         assert "## Router decisions" in text
         assert "slo-router" in text
         assert "**Goodput:**" in text
-        decisions = [
-            json.loads(line)
-            for line in (run_dir / "router.jsonl").read_text().splitlines()
-            if line.strip()
-        ]
+        _, summary, _ = load_run(run_dir)
+        routed = [r for r in summary["results"] if r["router"]]
+        assert [r["spec"] for r in routed] == ["slo-router"]
+        decisions = routed[0]["router"]["decisions"]
         assert decisions, "routed run must persist its decision log"
-        assert all(d["variant"] == "slo-router" for d in decisions)
         assert {"action", "from", "to", "step"} <= set(decisions[0])
+
+    def test_every_row_projected_at_declared_max_batch(self, routed_report):
+        """Fixed and routed rows share one projection batch: the engine's
+        max_batch, not each replay's measured mean decode batch."""
+        assert len(routed_report.results) == 4
+        for result in routed_report.results:
+            assert result.projection.batch == 4, result.spec
+
+    def test_unrouted_run_overwrites_a_routed_one(
+        self, tmp_path, manifest, report, routed_manifest, routed_report
+    ):
+        run_dir = tmp_path / "run"
+        write_run_artifact(run_dir, routed_manifest, routed_report)
+        write_run_artifact(run_dir, manifest, report)
+        assert sorted(path.name for path in run_dir.iterdir()) == RUN_FILES
+        loaded_manifest, summary, records = load_run(run_dir)
+        assert loaded_manifest == manifest
+        assert all(result["router"] is None for result in summary["results"])
+        assert {record["variant"] for record in records} == {"dense", "rank8"}
+        assert "Router decisions" not in (run_dir / "report.md").read_text()
 
     def test_routed_summary_round_trips(
         self, tmp_path, routed_manifest, routed_report
@@ -239,7 +263,7 @@ class TestReportRendering:
         assert any(record.get("qos") for record in records)
 
     def test_load_run_tolerates_missing_new_files(self, tmp_path, manifest, report):
-        """Pre-QoS run directories have no report.md/router.jsonl."""
+        """Pre-QoS run directories have no report.md."""
         run_dir = write_run_artifact(tmp_path / "run", manifest, report)
         (run_dir / "report.md").unlink()
         loaded_manifest, summary, records = load_run(run_dir)
@@ -249,7 +273,7 @@ class TestReportRendering:
 
 class TestTrajectory:
     def test_append_creates_and_stamps(self, tmp_path):
-        from repro.serving import append_trajectory
+        from repro.runs import append_trajectory
 
         path = tmp_path / "nested" / "trajectory.jsonl"
         append_trajectory({"bench": "serve-bench", "model": "m"}, path=path)
@@ -266,7 +290,7 @@ class TestTrajectory:
         """The checked-in ledger must stay parseable line by line."""
         from pathlib import Path
 
-        from repro.serving.artifacts import TRAJECTORY_PATH
+        from repro.runs import TRAJECTORY_PATH
 
         assert Path(TRAJECTORY_PATH).exists()
         for line in Path(TRAJECTORY_PATH).read_text().splitlines():

@@ -1,5 +1,7 @@
 """The ``repro`` command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -79,3 +81,88 @@ class TestCommands:
 
         with pytest.raises(ServingError):
             main(["serve-bench", "--requests", "2", "--variants", "warp9"])
+
+
+RUN_FILES = ["manifest.json", "metrics.jsonl", "report.md", "summary.json"]
+
+
+def _check_run(run_dir, ledger, out, verdict_key, bench):
+    """The one run layout every bench command writes via ``--run-dir``."""
+    from repro.runs import load_run
+
+    assert sorted(path.name for path in run_dir.iterdir()) == RUN_FILES
+    manifest, summary, records = load_run(run_dir)
+    assert summary[verdict_key] is True
+    assert records
+    report_md = (run_dir / "report.md").read_text()
+    assert report_md in out  # exactly the printed report text
+    lines = [json.loads(line) for line in ledger.read_text().splitlines()]
+    assert [line["bench"] for line in lines] == [bench]
+    assert lines[0][verdict_key] is True
+    return manifest, summary, records, report_md
+
+
+class TestRunDir:
+    def test_bench_decode_run_dir(self, capsys, tmp_path):
+        run_dir = tmp_path / "decode"
+        ledger = tmp_path / "ledger.jsonl"
+        assert main([
+            "bench-decode", "--model", "tiny-llama", "--variants", "dense",
+            "--tp", "1", "--prompt-tokens", "4", "--new-tokens", "3",
+            "--run-dir", str(run_dir), "--trajectory", str(ledger),
+        ]) == 0
+        out = capsys.readouterr().out
+        manifest, summary, records, report_md = _check_run(
+            run_dir, ledger, out, "all_bit_identical", "bench-decode"
+        )
+        assert manifest["variants"] == ["dense"] and manifest["tp"] == [1]
+        assert summary["cells"] == len(records) == 1
+        assert records[0]["bit_identical"] is True
+        assert report_md.startswith("bench-decode: tiny-llama")
+
+    def test_bench_decode_speculative_run_dir(self, capsys, tmp_path):
+        run_dir = tmp_path / "spec"
+        ledger = tmp_path / "ledger.jsonl"
+        assert main([
+            "bench-decode", "--speculative", "--model", "tiny-llama",
+            "--drafters", "rank8", "--spec-k", "2", "--tp", "1",
+            "--prompt-tokens", "4", "--new-tokens", "4",
+            "--run-dir", str(run_dir), "--trajectory", str(ledger),
+        ]) == 0
+        out = capsys.readouterr().out
+        manifest, summary, records, report_md = _check_run(
+            run_dir, ledger, out, "all_tokens_match", "bench-decode-spec"
+        )
+        assert manifest["drafters"] == ["rank8"] and manifest["k_values"] == [2]
+        assert summary["cells"] == len(records) == 1
+        assert records[0]["tokens_match"] is True
+        assert report_md.startswith("bench-decode --speculative: tiny-llama")
+
+    def test_quant_sweep_run_dir(self, capsys, tmp_path, trained_llama):
+        run_dir = tmp_path / "sweep"
+        ledger = tmp_path / "ledger.jsonl"
+        assert main([
+            "quant-sweep", "--specs", "dense", "--bits", "8", "--limit", "2",
+            "--prompt-tokens", "4", "--new-tokens", "3",
+            "--run-dir", str(run_dir), "--trajectory", str(ledger),
+        ]) == 0
+        out = capsys.readouterr().out
+        manifest, summary, records, report_md = _check_run(
+            run_dir, ledger, out, "all_bit_identical", "quant-sweep"
+        )
+        assert manifest["base_specs"] == ["dense"]
+        assert manifest["bit_widths"] == [None, 8]
+        assert summary["points"] == len(records) == 2
+        assert "| dense-int8 | int8 " in report_md
+
+    def test_no_trajectory_writes_only_the_run_dir(self, capsys, tmp_path):
+        run_dir = tmp_path / "decode"
+        ledger = tmp_path / "ledger.jsonl"
+        assert main([
+            "bench-decode", "--model", "tiny-llama", "--variants", "dense",
+            "--tp", "1", "--prompt-tokens", "4", "--new-tokens", "3",
+            "--run-dir", str(run_dir), "--trajectory", str(ledger),
+            "--no-trajectory",
+        ]) == 0
+        assert sorted(path.name for path in run_dir.iterdir()) == RUN_FILES
+        assert not ledger.exists()
